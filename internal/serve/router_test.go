@@ -8,6 +8,8 @@ import (
 	"fmt"
 	"net/http"
 	"net/http/httptest"
+	"slices"
+	"sort"
 	"sync"
 	"testing"
 	"time"
@@ -40,11 +42,20 @@ func newCluster(t *testing.T, n int, opts Options, onBuild func(replica int, key
 
 // newTestRouter fronts the given replica URLs with a Router behind
 // httptest and returns the router, its handle, and a Client against it.
-// The health interval is long so tests drive the view with CheckNow.
+// The health interval is long so tests drive the view with CheckNow. The
+// replicas' ring ids are pinned to "replica-<i>" (unless opts sets its
+// own): httptest's ports are ephemeral, and hashing them would make key
+// ownership — and every assertion about it — differ from run to run.
 func newTestRouter(t *testing.T, urls []string, opts RouterOptions) (*Router, *Client) {
 	t.Helper()
 	leakCheck(t)
 	opts.Replicas = urls
+	if opts.ReplicaIDs == nil {
+		opts.ReplicaIDs = make([]string, len(urls))
+		for i := range urls {
+			opts.ReplicaIDs[i] = fmt.Sprintf("replica-%d", i)
+		}
+	}
 	if opts.HealthInterval == 0 {
 		opts.HealthInterval = time.Hour // tests poll explicitly
 	}
@@ -455,7 +466,8 @@ func TestRouterClusterStats(t *testing.T) {
 func TestHashRingDrainMovesOnlyOwnedKeys(t *testing.T) {
 	reps := make([]*replica, 3)
 	for i := range reps {
-		reps[i] = &replica{addr: fmt.Sprintf("http://r%d", i), checkCh: make(chan struct{}, 1)}
+		addr := fmt.Sprintf("http://r%d", i)
+		reps[i] = &replica{addr: addr, id: addr, checkCh: make(chan struct{}, 1)}
 		reps[i].healthy.Store(true)
 	}
 	ring := newHashRing(reps, 64)
@@ -530,6 +542,54 @@ func TestNewRouterValidation(t *testing.T) {
 	}
 	if _, err := NewRouter(RouterOptions{Replicas: []string{" "}}); err == nil {
 		t.Error("blank replica accepted")
+	}
+	for _, ids := range [][]string{{"a"}, {"a", "a"}, {"a", ""}} {
+		if _, err := NewRouter(RouterOptions{Replicas: []string{"http://a", "http://b"}, ReplicaIDs: ids}); err == nil {
+			t.Errorf("replica ids %q accepted", ids)
+		}
+	}
+}
+
+// TestHashRingPlacementFollowsIDs: key ownership is a function of the
+// replica ids alone — the same ids at other addresses own the same keys —
+// and the default id is the address, so a deployment that pins its
+// addresses (and sets no ids) keeps the ring it had when the ring hashed
+// addresses.
+func TestHashRingPlacementFollowsIDs(t *testing.T) {
+	build := func(opts RouterOptions) *Router {
+		opts.HealthInterval = time.Hour
+		rt, err := NewRouter(opts)
+		if err != nil {
+			t.Fatal(err)
+		}
+		t.Cleanup(rt.Close)
+		return rt
+	}
+	ids := []string{"fbbd-a", "fbbd-b", "fbbd-c"}
+	one := build(RouterOptions{Replicas: []string{"http://127.0.0.1:1", "http://127.0.0.1:2", "http://127.0.0.1:3"}, ReplicaIDs: ids})
+	two := build(RouterOptions{Replicas: []string{"http://10.0.0.7:40001", "http://10.0.0.8:40002", "http://10.0.0.9:40003"}, ReplicaIDs: ids})
+	for i := 0; i < 200; i++ {
+		key := fmt.Sprintf("key-%d", i)
+		a, b := one.ring.sequence(key, 3), two.ring.sequence(key, 3)
+		for j := range a {
+			if a[j].id != b[j].id {
+				t.Fatalf("key %s: position %d is %s at one address set, %s at another", key, j, a[j].id, b[j].id)
+			}
+		}
+	}
+
+	// With no ids set, the ring is the one hashing addresses built.
+	addrs := []string{"http://127.0.0.1:18431", "http://127.0.0.1:18432", "http://127.0.0.1:18433"}
+	def := build(RouterOptions{Replicas: addrs, VirtualNodes: 8})
+	var want []vnode
+	for i, addr := range addrs {
+		for v := 0; v < 8; v++ {
+			want = append(want, vnode{hash: ringHash(fmt.Sprintf("%s#%d", addr, v)), idx: i})
+		}
+	}
+	sort.Slice(want, func(i, j int) bool { return want[i].hash < want[j].hash })
+	if !slices.Equal(def.ring.vnodes, want) {
+		t.Fatal("default ring differs from the ring over replica addresses")
 	}
 }
 

@@ -166,8 +166,22 @@ func (p *Process) DelayFactorDVth(dvth float64) float64 {
 	if over < 0.05 {
 		over = 0.05 // near/below-threshold clamp: extremely slow, not infinite
 	}
-	f := math.Pow(over0/over, p.Alpha)
+	f := alphaPow(over0/over, p.Alpha)
 	return f * p.tempDelayFactor()
+}
+
+// alphaPow returns math.Pow(x, a) bit for bit, minus Pow's special-case
+// scaffolding on the alpha-power law's domain. For 1 < a <= 1.5, Go's pow
+// splits a into yi = 1 and yf = a-1 (exact by Sterbenz) and returns
+// Ldexp(Exp(yf*Log(x))*frac(x), exp(x)); scaling by a power of two commutes
+// with rounding while the result stays normal, so Exp(yf*Log(x))*x is the
+// same bits. The guard keeps x, and so x^a, far from subnormals and
+// overflow; every other input (NaN and ±Inf included) takes math.Pow.
+func alphaPow(x, a float64) float64 {
+	if a > 1 && a <= 1.5 && x >= 0x1p-500 && x <= 0x1p500 {
+		return math.Exp((a-1)*math.Log(x)) * x
+	}
+	return math.Pow(x, a)
 }
 
 // Speedup returns the fractional speed-up at body bias vbs relative to NBB:

@@ -10,8 +10,9 @@ import (
 )
 
 // TestSampleBlockIntoMatchesSampleInto: every lane of a sampled block must
-// be bit-identical to a scalar SampleInto of the same seed, across regrows
-// of one reused block (shrinking and growing the lane count).
+// be bit-identical to a scalar SampleInto of the same seed and to the
+// standard-library reference sampler, across regrows of one reused block
+// (shrinking and growing the lane count).
 func TestSampleBlockIntoMatchesSampleInto(t *testing.T) {
 	pl := placed(t, "c1355")
 	proc := tech.Default45nm()
@@ -33,6 +34,7 @@ func TestSampleBlockIntoMatchesSampleInto(t *testing.T) {
 				t.Fatalf("lane %d seed %d, want %d", d, die.Seed, seed)
 			}
 			want := ref.SampleInto(nil, seed)
+			requireDieEqual(t, referenceSample(Default(), pl, proc, seed), want, "SampleInto")
 			if len(die.DVthV) != len(want.DVthV) {
 				t.Fatalf("lane %d: %d gates, want %d", d, len(die.DVthV), len(want.DVthV))
 			}

@@ -14,10 +14,13 @@ import (
 // (computed once per placement, shared by every Sampler over it), and the
 // generator state is re-seeded in place instead of reallocated, so a
 // warmed-up SampleInto allocates nothing. The systematic-surface loop is
-// restructured wave-major — each cosine wave sweeps all gates in one
-// branch-free pass — which is bit-identical to the gate-major accumulation
-// of Model.Sample (same additions in the same order per gate) but keeps the
-// wave constants in registers.
+// restructured wave-major — each cosine wave sweeps all gates in
+// branch-free passes — which keeps the wave constants in registers and
+// performs the same additions in the same order per gate as a gate-major
+// accumulation. Its per-gate cosine (cosExactInto) and alpha-power delay
+// factor (tech.Process.DelayFactorDVth) return exactly the bits of
+// math.Cos and math.Pow without their branches and special-case
+// scaffolding, so the sampled population is the standard library's.
 //
 // A Sampler's geometry is immutable but its generator is not: one Sampler
 // must not be used from more than one goroutine at a time. Concurrent
@@ -89,9 +92,9 @@ func (s *Sampler) sampleRow(dv, dscale []float64, seed int64) {
 	d2d := s.rng.NormFloat64() * s.m.SigmaD2DmV / 1000
 
 	// Accumulate the systematic surface wave by wave directly into the
-	// DVthV row: the per-gate inner loop is a branch-free fused
-	// multiply-add sweep, and no scratch beyond the caller's rows is
-	// needed.
+	// DVthV row. Each wave takes three branch-free sweeps: the phases
+	// into the DelayScale row (scratch until the last loop fills it),
+	// their cosines in place, and the weighted add into DVthV.
 	clear(dv)
 	if s.m.SigmaSysmV > 0 && s.m.CorrLenUM > 0 {
 		const waves = 6
@@ -103,7 +106,11 @@ func (s *Sampler) sampleRow(dv, dscale []float64, seed int64) {
 			ky := 2 * math.Pi / lambda * math.Sin(theta)
 			phase := s.rng.Float64() * 2 * math.Pi
 			for g, x := range s.xs {
-				dv[g] += amp * math.Cos(kx*x+ky*s.ys[g]+phase)
+				dscale[g] = kx*x + ky*s.ys[g] + phase
+			}
+			cosExactInto(dscale, dscale)
+			for g, c := range dscale {
+				dv[g] += amp * c
 			}
 		}
 	}

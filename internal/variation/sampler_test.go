@@ -20,10 +20,24 @@ func newAnalyzer(t *testing.T, pl *place.Placement) *sta.Analyzer {
 	return an
 }
 
-// referenceSample is the pre-Sampler gate-major sampling loop, kept
-// verbatim as the differential reference: per gate, the systematic waves
-// are accumulated innermost. The Sampler sweeps wave-major into the die
-// buffer instead, which must not move a single bit.
+// referenceDelayFactor is the alpha-power law of tech.DelayFactorDVth
+// written out with math.Pow, so the sampler oracles below check the
+// production kernels against the standard library rather than against
+// themselves.
+func referenceDelayFactor(proc *tech.Process, dvth float64) float64 {
+	over0 := proc.VddV - proc.Vth0V + proc.DIBLOverdriveV
+	over := over0 - dvth
+	if over < 0.05 {
+		over = 0.05
+	}
+	return math.Pow(over0/over, proc.Alpha) * (1 + proc.TempDelayCoeff*(proc.TempK-tech.RoomTempK))
+}
+
+// referenceSample is the pre-Sampler gate-major sampling loop, kept as the
+// differential reference with math.Cos and math.Pow: per gate, the
+// systematic waves are accumulated innermost. The Sampler sweeps wave-major
+// into the die buffer with exact replacements of both calls instead, which
+// must not move a single bit.
 func referenceSample(m Model, pl *place.Placement, proc *tech.Process, seed int64) *Die {
 	rng := rand.New(rand.NewSource(seed))
 	n := len(pl.Design.Gates)
@@ -59,9 +73,23 @@ func referenceSample(m Model, pl *place.Placement, proc *tech.Process, seed int6
 		}
 		dvth := d2d + sys + rng.NormFloat64()*m.SigmaRndmV/1000
 		die.DVthV[g] = dvth
-		die.DelayScale[g] = proc.DelayFactorDVth(dvth)
+		die.DelayScale[g] = referenceDelayFactor(proc, dvth)
 	}
 	return die
+}
+
+// referenceAged is Die.Aged's NBTI drift written out against the standard
+// library: the same per-die aging stream and spread, with the delay scale
+// from referenceDelayFactor.
+func referenceAged(d *Die, proc *tech.Process, years, activity float64) *Die {
+	rng := rand.New(rand.NewSource(d.Seed ^ 0x5eed))
+	drift := AgingDVthV(years, activity)
+	out := &Die{Seed: d.Seed, DVthV: make([]float64, len(d.DVthV)), DelayScale: make([]float64, len(d.DVthV))}
+	for g, dv := range d.DVthV {
+		out.DVthV[g] = dv + drift*(1+0.2*rng.NormFloat64())
+		out.DelayScale[g] = referenceDelayFactor(proc, out.DVthV[g])
+	}
+	return out
 }
 
 func requireDieEqual(tb testing.TB, want, got *Die, label string) {
@@ -126,9 +154,9 @@ func TestSamplerCloneIndependence(t *testing.T) {
 	requireDieEqual(t, want7, smp.SampleInto(a, 7), "original after clone draw")
 }
 
-// TestAgedIntoMatchesAged: the buffer-reusing aging form must be
-// bit-identical to Die.Aged, including in-place aging and the years<=0
-// copy-through.
+// TestAgedIntoMatchesAged: Die.Aged and the buffer-reusing aging form must
+// both be bit-identical to the standard-library aging reference, including
+// in-place aging and the years<=0 copy-through.
 func TestAgedIntoMatchesAged(t *testing.T) {
 	pl := placed(t, "c1355")
 	proc := tech.Default45nm()
@@ -137,7 +165,8 @@ func TestAgedIntoMatchesAged(t *testing.T) {
 	var buf *Die
 	for i := 0; i < 4; i++ {
 		die := m.Sample(pl, proc, DieSeed(3, i))
-		want := die.Aged(proc, 10, 0.8)
+		want := referenceAged(die, proc, 10, 0.8)
+		requireDieEqual(t, want, die.Aged(proc, 10, 0.8), "Aged")
 		buf = smp.AgedInto(buf, die, 10, 0.8)
 		requireDieEqual(t, want, buf, "AgedInto")
 
