@@ -64,12 +64,6 @@ type Router struct {
 type RouterOptions struct {
 	// Replicas are the fbbd base URLs (e.g. "http://10.0.0.1:8080").
 	Replicas []string
-	// ReplicaIDs are the replicas' stable identities on the hash ring, one
-	// per entry of Replicas in the same order (nil = each replica's
-	// address). A key's owner depends only on these, so a cluster whose
-	// addresses change between runs — ephemeral ports, rescheduled
-	// containers — keeps its key placement by pinning them.
-	ReplicaIDs []string
 	// HealthInterval is the /healthz polling period (default 500ms). A
 	// forwarding error or shed additionally triggers an immediate
 	// out-of-band re-check of that replica.
@@ -139,8 +133,6 @@ func (o RouterOptions) withDefaults() RouterOptions {
 // replica is one fbbd backend and its health view.
 type replica struct {
 	addr string
-	// id places the replica on the hash ring (RouterOptions.ReplicaIDs).
-	id string
 	// healthy and draining together decide ring membership: a replica
 	// serves keys only while healthy and not draining.
 	healthy  atomic.Bool
@@ -169,12 +161,9 @@ func NewRouter(opts RouterOptions) (*Router, error) {
 	if len(opts.Replicas) == 0 {
 		return nil, fmt.Errorf("router: no replicas")
 	}
-	if opts.ReplicaIDs != nil && len(opts.ReplicaIDs) != len(opts.Replicas) {
-		return nil, fmt.Errorf("router: %d replica ids for %d replicas", len(opts.ReplicaIDs), len(opts.Replicas))
-	}
-	seen, seenID := map[string]bool{}, map[string]bool{}
+	seen := map[string]bool{}
 	replicas := make([]*replica, 0, len(opts.Replicas))
-	for i, addr := range opts.Replicas {
+	for _, addr := range opts.Replicas {
 		addr = strings.TrimRight(strings.TrimSpace(addr), "/")
 		if addr == "" {
 			return nil, fmt.Errorf("router: empty replica address")
@@ -183,17 +172,7 @@ func NewRouter(opts RouterOptions) (*Router, error) {
 			return nil, fmt.Errorf("router: duplicate replica %s", addr)
 		}
 		seen[addr] = true
-		id := addr
-		if opts.ReplicaIDs != nil {
-			if id = opts.ReplicaIDs[i]; id == "" {
-				return nil, fmt.Errorf("router: empty id for replica %s", addr)
-			}
-		}
-		if seenID[id] {
-			return nil, fmt.Errorf("router: duplicate replica id %s", id)
-		}
-		seenID[id] = true
-		rep := &replica{addr: addr, id: id, checkCh: make(chan struct{}, 1)}
+		rep := &replica{addr: addr, checkCh: make(chan struct{}, 1)}
 		rep.healthy.Store(true)
 		replicas = append(replicas, rep)
 	}
@@ -752,8 +731,7 @@ var errNoReplicas = &apiError{status: http.StatusServiceUnavailable, msg: "no he
 
 // --- consistent hash ring ---
 
-// hashRing places every replica VirtualNodes times on a 64-bit ring, at
-// hashes of its id, so placement survives address changes. A key
+// hashRing places every replica VirtualNodes times on a 64-bit ring. A key
 // is owned by the first in-ring replica clockwise of its hash; the spill
 // sequence continues clockwise over distinct replicas. Unhealthy and
 // draining replicas stay on the ring but are skipped at lookup, so a
@@ -773,7 +751,7 @@ func newHashRing(replicas []*replica, virtual int) *hashRing {
 	r.vnodes = make([]vnode, 0, len(replicas)*virtual)
 	for i, rep := range replicas {
 		for v := 0; v < virtual; v++ {
-			r.vnodes = append(r.vnodes, vnode{hash: ringHash(fmt.Sprintf("%s#%d", rep.id, v)), idx: i})
+			r.vnodes = append(r.vnodes, vnode{hash: ringHash(fmt.Sprintf("%s#%d", rep.addr, v)), idx: i})
 		}
 	}
 	sort.Slice(r.vnodes, func(i, j int) bool { return r.vnodes[i].hash < r.vnodes[j].hash })

@@ -6,10 +6,10 @@ import (
 	"encoding/json"
 	"errors"
 	"fmt"
+	"net"
 	"net/http"
 	"net/http/httptest"
-	"slices"
-	"sort"
+	"strings"
 	"sync"
 	"testing"
 	"time"
@@ -43,19 +43,31 @@ func newCluster(t *testing.T, n int, opts Options, onBuild func(replica int, key
 // newTestRouter fronts the given replica URLs with a Router behind
 // httptest and returns the router, its handle, and a Client against it.
 // The health interval is long so tests drive the view with CheckNow. The
-// replicas' ring ids are pinned to "replica-<i>" (unless opts sets its
-// own): httptest's ports are ephemeral, and hashing them would make key
-// ownership — and every assertion about it — differ from run to run.
+// router knows replica i as http://replica-<i>, and its transport dials
+// that host at urls[i]: the ring hashes those fixed names rather than
+// httptest's ephemeral ports, so key ownership — and every assertion
+// about it — is the same on every run.
 func newTestRouter(t *testing.T, urls []string, opts RouterOptions) (*Router, *Client) {
 	t.Helper()
 	leakCheck(t)
-	opts.Replicas = urls
-	if opts.ReplicaIDs == nil {
-		opts.ReplicaIDs = make([]string, len(urls))
-		for i := range urls {
-			opts.ReplicaIDs[i] = fmt.Sprintf("replica-%d", i)
-		}
+	if opts.HTTPClient != nil {
+		t.Fatal("newTestRouter supplies the router's HTTPClient")
 	}
+	hostAddr := make(map[string]string, len(urls))
+	opts.Replicas = make([]string, len(urls))
+	for i, u := range urls {
+		opts.Replicas[i] = fmt.Sprintf("http://replica-%d", i)
+		hostAddr[fmt.Sprintf("replica-%d:80", i)] = strings.TrimPrefix(u, "http://")
+	}
+	tr := &http.Transport{DialContext: func(ctx context.Context, network, addr string) (net.Conn, error) {
+		if a, ok := hostAddr[addr]; ok {
+			addr = a
+		}
+		var d net.Dialer
+		return d.DialContext(ctx, network, addr)
+	}}
+	t.Cleanup(tr.CloseIdleConnections)
+	opts.HTTPClient = &http.Client{Transport: tr}
 	if opts.HealthInterval == 0 {
 		opts.HealthInterval = time.Hour // tests poll explicitly
 	}
@@ -69,8 +81,9 @@ func newTestRouter(t *testing.T, urls []string, opts RouterOptions) (*Router, *C
 	return rt, NewClient(ts.URL)
 }
 
-// ownerIndex resolves which replica in urls owns the given design.
-func ownerIndex(t *testing.T, rt *Router, urls []string, ref DesignRef) int {
+// ownerIndex resolves which replica, by its index in the router's replica
+// list (the order newTestRouter was given), owns the given design.
+func ownerIndex(t *testing.T, rt *Router, ref DesignRef) int {
 	t.Helper()
 	key, e := rt.designKey(&ref)
 	if e != nil {
@@ -80,12 +93,12 @@ func ownerIndex(t *testing.T, rt *Router, urls []string, ref DesignRef) int {
 	if len(seq) == 0 {
 		t.Fatal("no owner in ring")
 	}
-	for i, u := range urls {
-		if u == seq[0].addr {
+	for i, rep := range rt.ring.replicas {
+		if rep == seq[0] {
 			return i
 		}
 	}
-	t.Fatalf("owner %s not among replicas %v", seq[0].addr, urls)
+	t.Fatalf("owner %s not among the router's replicas", seq[0].addr)
 	return -1
 }
 
@@ -108,7 +121,7 @@ func TestRouterClusterCoalescing(t *testing.T) {
 		<-gate
 	})
 	rt, c := newTestRouter(t, urls, RouterOptions{})
-	owner := ownerIndex(t, rt, urls, DesignRef{Benchmark: "c1355"})
+	owner := ownerIndex(t, rt, DesignRef{Benchmark: "c1355"})
 
 	before := flow.PrefixBuilds()
 	req := TuneRequest{DesignRef: DesignRef{Benchmark: "c1355"}, Beta: 0.05}
@@ -154,7 +167,7 @@ func TestRouterDrainRehash(t *testing.T) {
 	servers, urls := newCluster(t, 2, Options{}, nil)
 	rt, c := newTestRouter(t, urls, RouterOptions{Spill: 1})
 	ref := DesignRef{Benchmark: "c1355"}
-	owner := ownerIndex(t, rt, urls, ref)
+	owner := ownerIndex(t, rt, ref)
 	survivor := 1 - owner
 
 	tune := func() error {
@@ -177,7 +190,7 @@ func TestRouterDrainRehash(t *testing.T) {
 	}
 	// Health catches up: the owner leaves the ring, its key re-hashes.
 	rt.CheckNow(context.Background())
-	if got := ownerIndex(t, rt, urls, ref); got != survivor {
+	if got := ownerIndex(t, rt, ref); got != survivor {
 		t.Fatalf("after drain the key is owned by replica %d, want %d", got, survivor)
 	}
 	for i := 0; i < 4; i++ {
@@ -282,7 +295,7 @@ func TestRouterSheds503WithRetryAfter(t *testing.T) {
 	found := 0
 	for n := 8; found < 2 && n < 256; n++ {
 		ref := DesignRef{Netlist: chainBench(n)}
-		if idx := ownerIndex(t, rt, urls, ref); occupy[idx].Netlist == "" {
+		if idx := ownerIndex(t, rt, ref); occupy[idx].Netlist == "" {
 			occupy[idx] = ref
 			found++
 		}
@@ -341,7 +354,7 @@ func TestRouterFailsOverDeadReplica(t *testing.T) {
 	})
 	rt, c := newTestRouter(t, urls, RouterOptions{Spill: 1})
 	ref := DesignRef{Benchmark: "c3540"}
-	owner := ownerIndex(t, rt, urls, ref)
+	owner := ownerIndex(t, rt, ref)
 
 	tss[owner].Close() // the owner drops off the network
 	// Race window: the router still believes in the owner; the transport
@@ -350,7 +363,7 @@ func TestRouterFailsOverDeadReplica(t *testing.T) {
 		t.Fatalf("request during dead-replica race failed: %v", err)
 	}
 	rt.CheckNow(context.Background())
-	if got := ownerIndex(t, rt, urls, ref); got == owner {
+	if got := ownerIndex(t, rt, ref); got == owner {
 		t.Fatal("dead replica still owns its keys after a health check")
 	}
 	if _, err := c.Tune(context.Background(), TuneRequest{DesignRef: ref, Beta: 0.05}); err != nil {
@@ -466,8 +479,7 @@ func TestRouterClusterStats(t *testing.T) {
 func TestHashRingDrainMovesOnlyOwnedKeys(t *testing.T) {
 	reps := make([]*replica, 3)
 	for i := range reps {
-		addr := fmt.Sprintf("http://r%d", i)
-		reps[i] = &replica{addr: addr, id: addr, checkCh: make(chan struct{}, 1)}
+		reps[i] = &replica{addr: fmt.Sprintf("http://r%d", i), checkCh: make(chan struct{}, 1)}
 		reps[i].healthy.Store(true)
 	}
 	ring := newHashRing(reps, 64)
@@ -542,54 +554,6 @@ func TestNewRouterValidation(t *testing.T) {
 	}
 	if _, err := NewRouter(RouterOptions{Replicas: []string{" "}}); err == nil {
 		t.Error("blank replica accepted")
-	}
-	for _, ids := range [][]string{{"a"}, {"a", "a"}, {"a", ""}} {
-		if _, err := NewRouter(RouterOptions{Replicas: []string{"http://a", "http://b"}, ReplicaIDs: ids}); err == nil {
-			t.Errorf("replica ids %q accepted", ids)
-		}
-	}
-}
-
-// TestHashRingPlacementFollowsIDs: key ownership is a function of the
-// replica ids alone — the same ids at other addresses own the same keys —
-// and the default id is the address, so a deployment that pins its
-// addresses (and sets no ids) keeps the ring it had when the ring hashed
-// addresses.
-func TestHashRingPlacementFollowsIDs(t *testing.T) {
-	build := func(opts RouterOptions) *Router {
-		opts.HealthInterval = time.Hour
-		rt, err := NewRouter(opts)
-		if err != nil {
-			t.Fatal(err)
-		}
-		t.Cleanup(rt.Close)
-		return rt
-	}
-	ids := []string{"fbbd-a", "fbbd-b", "fbbd-c"}
-	one := build(RouterOptions{Replicas: []string{"http://127.0.0.1:1", "http://127.0.0.1:2", "http://127.0.0.1:3"}, ReplicaIDs: ids})
-	two := build(RouterOptions{Replicas: []string{"http://10.0.0.7:40001", "http://10.0.0.8:40002", "http://10.0.0.9:40003"}, ReplicaIDs: ids})
-	for i := 0; i < 200; i++ {
-		key := fmt.Sprintf("key-%d", i)
-		a, b := one.ring.sequence(key, 3), two.ring.sequence(key, 3)
-		for j := range a {
-			if a[j].id != b[j].id {
-				t.Fatalf("key %s: position %d is %s at one address set, %s at another", key, j, a[j].id, b[j].id)
-			}
-		}
-	}
-
-	// With no ids set, the ring is the one hashing addresses built.
-	addrs := []string{"http://127.0.0.1:18431", "http://127.0.0.1:18432", "http://127.0.0.1:18433"}
-	def := build(RouterOptions{Replicas: addrs, VirtualNodes: 8})
-	var want []vnode
-	for i, addr := range addrs {
-		for v := 0; v < 8; v++ {
-			want = append(want, vnode{hash: ringHash(fmt.Sprintf("%s#%d", addr, v)), idx: i})
-		}
-	}
-	sort.Slice(want, func(i, j int) bool { return want[i].hash < want[j].hash })
-	if !slices.Equal(def.ring.vnodes, want) {
-		t.Fatal("default ring differs from the ring over replica addresses")
 	}
 }
 

@@ -15,6 +15,7 @@ package tech
 import (
 	"fmt"
 	"math"
+	"runtime"
 )
 
 // Physical constants.
@@ -176,9 +177,12 @@ func (p *Process) DelayFactorDVth(dvth float64) float64 {
 // Ldexp(Exp(yf*Log(x))*frac(x), exp(x)); scaling by a power of two commutes
 // with rounding while the result stays normal, so Exp(yf*Log(x))*x is the
 // same bits. The guard keeps x, and so x^a, far from subnormals and
-// overflow; every other input (NaN and ±Inf included) takes math.Pow.
+// overflow; every other input (NaN and ±Inf included) takes math.Pow. The
+// equality is with Go's pure-Go pow, which math.Pow is on every
+// architecture but s390x; there math.Pow is assembly, so s390x always
+// calls it.
 func alphaPow(x, a float64) float64 {
-	if a > 1 && a <= 1.5 && x >= 0x1p-500 && x <= 0x1p500 {
+	if runtime.GOARCH != "s390x" && a > 1 && a <= 1.5 && x >= 0x1p-500 && x <= 0x1p500 {
 		return math.Exp((a-1)*math.Log(x)) * x
 	}
 	return math.Pow(x, a)

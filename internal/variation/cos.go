@@ -1,6 +1,9 @@
 package variation
 
-import "math"
+import (
+	"math"
+	"runtime"
+)
 
 // Coefficients of Go's pure-Go math.cos (Cephes sin.c), copied bit for bit:
 // cosExactInto must evaluate the same polynomials in the same order.
@@ -25,7 +28,8 @@ var (
 
 // cosExactInto stores math.Cos(src[i]) into dst[i], bit for bit, without
 // data-dependent branches; dst may alias src and must be at least as long.
-// It is Go's pure-Go cos (amd64 has no assembly Cos): the same Cody-Waite
+// It is Go's pure-Go cos, which math.Cos is on every architecture but
+// s390x (there math.Cos is assembly, so s390x calls it): the same Cody-Waite
 // reduction by pi/4 in three parts and the same two polynomials. Where cos
 // branches on the octant, this rounds the octant up to even arithmetically,
 // evaluates both polynomials, picks one with a bit mask and applies the
@@ -43,7 +47,7 @@ func cosExactInto(dst, src []float64) {
 	dst = dst[:len(src)]
 	for i, x := range src {
 		ax := math.Abs(x)
-		if !(ax < 1<<29) {
+		if runtime.GOARCH == "s390x" || !(ax < 1<<29) {
 			dst[i] = math.Cos(x)
 			continue
 		}
