@@ -145,7 +145,7 @@ func BenchmarkRuntimeHeuristic(b *testing.B) {
 	}
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		if _, err := res.Problem.SolveHeuristic(); err != nil {
+		if _, err := (core.HeuristicSolver{}).Solve(res.inst); err != nil {
 			b.Fatal(err)
 		}
 	}
@@ -186,9 +186,9 @@ func BenchmarkRuntimeILP(b *testing.B) {
 // BenchmarkSolveILP times a complete proven-optimal exact solve on the
 // Table 1 circuits the paper's lp_solve handled: presolve, pseudo-cost
 // branching and the deterministic parallel tree, from a heuristic warm
-// start. The sub-benchmarks ablate one engine stage each (most-fractional
-// branching, no presolve, a single worker), so the bench log shows what
-// every stage buys on real instances.
+// start. The sub-benchmarks ablate one engine stage each (no presolve, a
+// single worker), so the bench log shows what every stage buys on real
+// instances.
 func BenchmarkSolveILP(b *testing.B) {
 	for _, name := range []string{"c1355", "c3540", "c5315"} {
 		res, err := Run(Config{Benchmark: name, Beta: 0.05, SkipLayout: true})
@@ -200,7 +200,6 @@ func BenchmarkSolveILP(b *testing.B) {
 			opts  core.ILPOptions
 		}{
 			{"full", core.ILPOptions{}},
-			{"mostfrac", core.ILPOptions{Branching: "mostfrac"}},
 			{"nopresolve", core.ILPOptions{NoPresolve: true}},
 			{"serial", core.ILPOptions{Workers: 1}},
 		} {
@@ -352,28 +351,6 @@ func BenchmarkGeneratorResolutionAblation(b *testing.B) {
 			t.Add(fmt.Sprintf("%.0f", p.StepMV), fmt.Sprint(p.Levels), fmt.Sprintf("%.3f", p.AvgLeakExcess))
 		}
 		fmt.Print(t.String())
-	})
-}
-
-// BenchmarkHeuristicRefineAblation measures the heuristic with and without
-// its cleanup sweep (a design choice called out in DESIGN.md).
-func BenchmarkHeuristicRefineAblation(b *testing.B) {
-	res, err := Run(Config{Benchmark: "c1355", Beta: 0.05, SkipLayout: true})
-	if err != nil {
-		b.Fatal(err)
-	}
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		if _, err := res.Problem.SolveHeuristicOpts(core.HeuristicOptions{SkipRefine: true}); err != nil {
-			b.Fatal(err)
-		}
-	}
-	b.StopTimer()
-	printOnce("refine-ablation", func() {
-		bare, _ := res.Problem.SolveHeuristicOpts(core.HeuristicOptions{SkipRefine: true})
-		full, _ := res.Problem.SolveHeuristic()
-		fmt.Printf("\n[ablation] c1355 heuristic refine sweep: off %.1f%% vs on %.1f%% savings\n",
-			core.Savings(res.Single, bare), core.Savings(res.Single, full))
 	})
 }
 

@@ -21,7 +21,7 @@ import (
 
 	"repro"
 	"repro/internal/core"
-	"repro/internal/place"
+	"repro/internal/flow"
 	"repro/internal/sta"
 	"repro/internal/tech"
 	"repro/internal/variation"
@@ -53,10 +53,18 @@ func run(args []string, stdout, stderr io.Writer) error {
 		return fmt.Errorf("yieldtuning: -dies must be positive")
 	}
 
-	pl, nom, err := repro.NominalTiming(*bench)
+	// An unbounded exact solve per escalation per die would run for ages;
+	// a node budget keeps it bounded — and, unlike the historical
+	// wall-clock cap, deterministic at any -parallel.
+	s, err := repro.NamedSolver(*solver, core.ILPOptions{NodeLimit: 50000})
 	if err != nil {
 		return err
 	}
+	pfx, err := flow.New().Prefix(*bench, 0)
+	if err != nil {
+		return err
+	}
+	pl, nom := pfx.Placement, pfx.Timing
 	proc := tech.Default45nm()
 	model := variation.Default()
 
@@ -66,25 +74,12 @@ func run(args []string, stdout, stderr io.Writer) error {
 
 	// Slowdown histogram before tuning.
 	fmt.Fprintln(stdout, "die slowdown distribution (before tuning):")
-	if err := histogram(stdout, pl, nom, proc, model, *dies, *seed); err != nil {
+	if err := histogram(stdout, pfx.Analyzer, nom, proc, model, *dies, *seed); err != nil {
 		return err
 	}
 
-	s, err := core.NewNamedSolver(*solver)
-	if err != nil {
-		return err
-	}
-	// An unbounded exact solve per escalation per die would run for ages;
-	// a node budget keeps it bounded — and, unlike the historical
-	// wall-clock cap, deterministic at any -parallel.
-	switch sv := s.(type) {
-	case *core.ILPSolver:
-		sv.Opts.NodeLimit = 50000
-	case *core.RaceSolver:
-		sv.ILP.NodeLimit = 50000
-	}
-	st, err := variation.YieldStudy(context.Background(), pl, proc, model, *dies, *seed,
-		variation.TuneOptions{GuardbandPct: 0.005, Solver: s, Workers: *parallel})
+	st, err := variation.YieldStream(context.Background(), pfx.Analyzer, pfx.Allocator, nom, proc, model, *dies, *seed,
+		variation.TuneOptions{GuardbandPct: 0.005, Solver: s, Workers: *parallel}, nil)
 	if err != nil {
 		return err
 	}
@@ -101,17 +96,13 @@ func run(args []string, stdout, stderr io.Writer) error {
 }
 
 // histogram re-times the same per-index die population the study samples
-// (variation.DieSeed), re-using one analyzer, one sampler and one die
-// buffer across all dies; only DcritPS is read, so the re-times take the
-// Dcrit-only light path.
-func histogram(w io.Writer, pl *place.Placement, nom *sta.Timing, proc *tech.Process,
+// (variation.DieSeed), re-using the prefix's analyzer, one sampler and one
+// die buffer across all dies; only DcritPS is read, so the re-times take
+// the Dcrit-only light path.
+func histogram(w io.Writer, an *sta.Analyzer, nom *sta.Timing, proc *tech.Process,
 	m variation.Model, dies int, seed int64) error {
-	an, err := sta.NewAnalyzer(pl, sta.Options{})
-	if err != nil {
-		return err
-	}
 	rt := variation.NewRetimer(an)
-	smp := variation.NewSampler(pl, proc, m)
+	smp := variation.NewSampler(an.Placement(), proc, m)
 	var die *variation.Die
 	bins := make([]int, 9) // <-6, -6..-4, ..., 8..10, >10 (%)
 	for i := 0; i < dies; i++ {

@@ -10,11 +10,11 @@ func TestRefineDownAblation(t *testing.T) {
 	helped := false
 	for _, name := range []string{"c1355", "c3540", "c5315", "c7552"} {
 		p := problem(t, name, 0.05, 3)
-		full, err := p.SolveHeuristic()
+		full, err := p.solveHeuristic()
 		if err != nil {
 			t.Fatal(err)
 		}
-		bare, err := p.SolveHeuristicOpts(HeuristicOptions{SkipRefine: true})
+		bare, err := unrefinedHeuristic(p)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -32,13 +32,29 @@ func TestRefineDownAblation(t *testing.T) {
 	}
 }
 
+// unrefinedHeuristic is the two-pass heuristic without its final lowering
+// sweep (refineDown): the greedy walk and the routing-cap reconcile, packaged
+// exactly as the full pipeline packages its result.
+func unrefinedHeuristic(p *Problem) (*Solution, error) {
+	var s heurScratch
+	var st timingState
+	jopt, err := p.greedyWalk(&s, &st)
+	if err != nil {
+		return nil, err
+	}
+	if jopt > 0 {
+		p.reconcilePairs(&st, s.assign, &s)
+	}
+	return p.solutionFor(s.assign, "heuristic", false)
+}
+
 func TestReconcileAblationRespectsRouting(t *testing.T) {
 	// Without the reconcile pass the greedy walk may strand more bias
 	// pairs than the layout can route; with it, never.
 	for _, name := range []string{"c1355", "c3540", "c5315", "c7552", "adder128"} {
 		for _, beta := range []float64{0.05, 0.10} {
 			p := problem(t, name, beta, 3)
-			sol, err := p.SolveHeuristic()
+			sol, err := p.solveHeuristic()
 			if err != nil {
 				t.Fatal(err)
 			}

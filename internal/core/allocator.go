@@ -15,16 +15,18 @@ import (
 	"repro/internal/tech"
 )
 
-// Allocator is the reusable form of BuildProblem for batched allocation:
-// everything a (beta, cluster-cap) pair cannot change — the L_ij leakage
-// table, each path's cells grouped by placement row in CSR form, and the
-// per-gate bias delay factors — is computed once at construction, so At only
-// re-evaluates the beta-dependent requirements, delay-delta tables and
-// signature merging into reused buffers. Tuning loops (variation.TuneOn,
-// YieldStudy) and experiment grids (Table 1, cluster sweeps) construct
-// thousands of Problems over one fixed (placement, nominal timing) pair;
-// with BuildProblem each pays the full grouping, table and map work, with an
-// Allocator each is a linear re-materialization with ~zero allocations.
+// Allocator builds clustering Problems for batched allocation: everything a
+// (beta, cluster-cap) pair cannot change — the L_ij leakage table, each
+// path's cells grouped by placement row in CSR form, and the per-gate bias
+// delay factors — is computed once at construction, so At only re-evaluates
+// the beta-dependent requirements, delay-delta tables and signature merging
+// into reused buffers. Tuning loops (variation.TuneOn, YieldStream) and
+// experiment grids (Table 1, cluster sweeps) construct thousands of Problems
+// over one fixed (placement, nominal timing) pair; each is a linear
+// re-materialization with ~zero allocations. At is pinned bit for bit to a
+// one-shot reference builder (buildProblem in the package tests: per-path
+// maps, a sort, and "%.6f" signature strings), which the comments below call
+// the reference.
 //
 // An Allocator is immutable after construction and therefore safe for
 // concurrent use: all per-call state lives in the caller-provided Instance
@@ -67,8 +69,8 @@ type Allocator struct {
 	// paths with the same row list and, per row, the same sequence of
 	// (gate delay, delay factors) produce bit-identical delta vectors at
 	// every beta, so their constraints merge at every beta. At processes
-	// one exemplar per class, which is where the batched path beats
-	// BuildProblem: the duplicate delta accumulations and — decisively —
+	// one exemplar per class, which is where the batched path beats the
+	// reference: the duplicate delta accumulations and — decisively —
 	// the duplicate "%.6f" signature formatting disappear.
 	groups []allocGroup
 }
@@ -82,7 +84,7 @@ type allocGroup struct {
 	members []int32
 	// candidate marks classes whose beta-0 delta vector lies within
 	// decimal-formatting distance of another class over the same rows:
-	// only these can ever merge across classes under BuildProblem's
+	// only these can ever merge across classes under the reference's
 	// "%.6f" signature, so only these pay for key formatting in At.
 	candidate bool
 }
@@ -120,7 +122,7 @@ func NewAllocator(pl *place.Placement, tm *sta.Timing) (*Allocator, error) {
 	}
 
 	// Group every path's gates by row, rows ascending, gates in path order
-	// within each row — the exact order BuildProblem's map-and-sort pass
+	// within each row — the exact order the reference's map-and-sort pass
 	// visits them, so the per-level delta accumulation is bit-identical.
 	rowCount := make([]int32, a.n)
 	rowOffset := make([]int32, a.n)
@@ -370,8 +372,8 @@ func (a *Allocator) Timing() *sta.Timing { return a.tm }
 // shared between concurrent solves, but the Allocator may be: keep one
 // Instance per worker.
 type Instance struct {
-	// Prob is the materialized problem, fully interchangeable with a
-	// BuildProblem result (same constraints, bit-exact).
+	// Prob is the materialized problem, bit-identical to the reference
+	// builder's (same constraints, same merges).
 	Prob *Problem
 
 	// ILPResult reports the branch-and-bound outcome of the most recent
@@ -392,7 +394,7 @@ type Instance struct {
 	rowConsRefs  []rowConRef
 
 	// Signature-merge scratch: an open-addressed chain over the key byte
-	// arena replaces BuildProblem's map[string] so repeat materializations
+	// arena replaces the reference's map[string] so repeat materializations
 	// allocate nothing.
 	keyArena []byte
 	keyOff   []int32
@@ -415,7 +417,7 @@ type violGroup struct {
 }
 
 // violSorter orders violating classes by their registering path, matching
-// BuildProblem's constraint order, without sort.Slice's closure allocation.
+// the reference's constraint order, without sort.Slice's closure allocation.
 type violSorter struct{ v []violGroup }
 
 func (s *violSorter) Len() int           { return len(s.v) }
@@ -423,7 +425,7 @@ func (s *violSorter) Less(i, j int) bool { return s.v[i].firstPi < s.v[j].firstP
 func (s *violSorter) Swap(i, j int)      { s.v[i], s.v[j] = s.v[j], s.v[i] }
 
 // At materializes the clustering instance for opts into buf (nil allocates a
-// fresh Instance), replicating BuildProblem bit-for-bit: identical
+// fresh Instance), replicating the reference builder bit-for-bit: identical
 // constraints, merge decisions, and requirement values.
 func (a *Allocator) At(opts Options, buf *Instance) (*Instance, error) {
 	if err := opts.normalize(); err != nil {
@@ -476,11 +478,11 @@ func (a *Allocator) At(opts Options, buf *Instance) (*Instance, error) {
 	dcrit := a.tm.DcritPS
 
 	// Pass 1: find the violating classes, recording for each the member
-	// that registers its constraint in BuildProblem's path order (the
+	// that registers its constraint in the reference's path order (the
 	// first violating one) and the binding requirement (the largest one).
 	// The class's PathIdx collapses to -1 exactly when a member after the
 	// registering one strictly tightened the requirement — compared on
-	// the computed requirement floats, exactly as BuildProblem's merge
+	// the computed requirement floats, exactly as the reference's merge
 	// does (two ulp-apart delays can round to equal requirements, and the
 	// tie must then keep the first member's PathIdx).
 	viol := inst.viol[:0]
@@ -547,7 +549,7 @@ func (a *Allocator) At(opts Options, buf *Instance) (*Instance, error) {
 			}
 			contribs = append(contribs, RowContrib{Row: row, DeltaPS: dv})
 			if g.candidate {
-				// The signature covers every level (BuildProblem's
+				// The signature covers every level (the reference's
 				// "%d:" + "%.6f," format, byte for byte): constraints
 				// may only merge when their whole coefficient vectors
 				// agree.
@@ -628,7 +630,7 @@ func (a *Allocator) At(opts Options, buf *Instance) (*Instance, error) {
 }
 
 // SolveAt materializes the instance for opts into buf and solves it with
-// solver (nil = the registered two-pass heuristic). It returns the solution
+// solver (nil = the two-pass heuristic). It returns the solution
 // and the instance actually used, so callers can thread the same buffer
 // through repeated solves; the solution follows the Instance buffer
 // contract (Clone to keep).

@@ -63,7 +63,7 @@ func randomTimed(tb testing.TB, lib *cell.Library, seed int64) (*place.Placement
 }
 
 // requireProblemsEqual asserts the materialized problem matches a fresh
-// BuildProblem bit for bit: same constraints, same merge decisions, same
+// buildProblem bit for bit: same constraints, same merge decisions, same
 // requirement values, same indices. Any drift is a real divergence — both
 // sides compute the same float operations in the same order.
 func requireProblemsEqual(tb testing.TB, want, got *Problem, label string) {
@@ -170,7 +170,7 @@ func randomOpts(rng *rand.Rand) Options {
 // TestAllocatorMatchesBuildProblem is the differential harness of the
 // batched allocation path: across random placements and random (beta, C,
 // pairs) points, one dirty, continually reused Instance must materialize
-// problems bit-identical to fresh BuildProblem calls and solve them to
+// problems bit-identical to fresh buildProblem calls and solve them to
 // bit-identical heuristic and single-BB solutions.
 func TestAllocatorMatchesBuildProblem(t *testing.T) {
 	lib := cell.Default()
@@ -184,7 +184,7 @@ func TestAllocatorMatchesBuildProblem(t *testing.T) {
 		}
 		for round := 0; round < 4; round++ {
 			opts := randomOpts(rng)
-			want, err := BuildProblem(pl, tm, opts)
+			want, err := buildProblem(pl, tm, opts)
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -194,7 +194,7 @@ func TestAllocatorMatchesBuildProblem(t *testing.T) {
 			}
 			requireProblemsEqual(t, want, inst.Prob, "materialize")
 
-			wantH, errW := want.SolveHeuristic()
+			wantH, errW := want.solveHeuristic()
 			gotH, errG := inst.Solve(nil)
 			if (errW == nil) != (errG == nil) {
 				t.Fatalf("heuristic error diverged: %v vs %v", errW, errG)
@@ -203,7 +203,7 @@ func TestAllocatorMatchesBuildProblem(t *testing.T) {
 				requireSolutionsEqual(t, wantH, gotH, "heuristic")
 			}
 
-			wantS, errW := want.SingleBB()
+			wantS, errW := want.singleBB()
 			gotS, errG := inst.SingleBB()
 			if (errW == nil) != (errG == nil) {
 				t.Fatalf("single-BB error diverged: %v vs %v", errW, errG)
@@ -234,7 +234,7 @@ func TestAllocatorMatchesBuildProblemILP(t *testing.T) {
 			t.Fatal(err)
 		}
 		opts := Options{Beta: 0.03 + rng.Float64()*0.07, MaxClusters: 2 + rng.Intn(2)}
-		want, err := BuildProblem(pl, tm, opts)
+		want, err := buildProblem(pl, tm, opts)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -245,7 +245,7 @@ func TestAllocatorMatchesBuildProblemILP(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		wantH, err := want.SolveHeuristic()
+		wantH, err := want.solveHeuristic()
 		if err != nil {
 			continue // beyond compensation range; ILP infeasible too
 		}
@@ -304,7 +304,9 @@ func TestAllocatorValidation(t *testing.T) {
 	}
 }
 
-// TestSolverRegistry pins the registry contract.
+// TestSolverRegistry pins the name-to-solver contract: every listed name
+// resolves to a solver reporting that name, with the exact budget threaded
+// into "ilp" and "race".
 func TestSolverRegistry(t *testing.T) {
 	names := SolverNames()
 	for _, want := range []string{"heuristic", "ilp", "local"} {
@@ -318,16 +320,27 @@ func TestSolverRegistry(t *testing.T) {
 			t.Errorf("registry is missing %q (have %v)", want, names)
 		}
 	}
+	budget := ILPOptions{NodeLimit: 123}
 	for _, name := range names {
-		s, err := NewNamedSolver(name)
+		s, err := NewNamedSolver(name, budget)
 		if err != nil {
 			t.Fatal(err)
 		}
 		if s.Name() != name {
 			t.Errorf("solver %q reports Name()=%q", name, s.Name())
 		}
+		switch sv := s.(type) {
+		case *ILPSolver:
+			if sv.Opts != budget {
+				t.Errorf("ilp options %+v, want %+v", sv.Opts, budget)
+			}
+		case *RaceSolver:
+			if sv.ILP != budget {
+				t.Errorf("race ILP options %+v, want %+v", sv.ILP, budget)
+			}
+		}
 	}
-	if _, err := NewNamedSolver("no-such-solver"); err == nil {
+	if _, err := NewNamedSolver("no-such-solver", ILPOptions{}); err == nil {
 		t.Error("unknown solver accepted")
 	} else if !strings.Contains(err.Error(), "no-such-solver") {
 		t.Errorf("unhelpful unknown-solver error: %v", err)
@@ -401,7 +414,7 @@ func TestLocalSolverInvariants(t *testing.T) {
 
 // FuzzAllocatorSolveAt fuzzes the differential property: for any (design
 // seed, option seed), a dirty reused Instance must materialize and solve
-// bit-identically to a fresh BuildProblem + SolveHeuristic.
+// bit-identically to a fresh buildProblem + solveHeuristic.
 func FuzzAllocatorSolveAt(f *testing.F) {
 	f.Add(int64(1), int64(1))
 	f.Add(int64(2), int64(7))
@@ -422,7 +435,7 @@ func FuzzAllocatorSolveAt(f *testing.F) {
 			if math.IsNaN(opts.Beta) {
 				t.Skip("degenerate beta")
 			}
-			want, err := BuildProblem(pl, tm, opts)
+			want, err := buildProblem(pl, tm, opts)
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -431,7 +444,7 @@ func FuzzAllocatorSolveAt(f *testing.F) {
 				t.Fatal(err)
 			}
 			requireProblemsEqual(t, want, inst.Prob, "fuzz materialize")
-			wantH, errW := want.SolveHeuristic()
+			wantH, errW := want.solveHeuristic()
 			gotH, errG := inst.Solve(nil)
 			if (errW == nil) != (errG == nil) {
 				t.Fatalf("fuzz heuristic error diverged: %v vs %v", errW, errG)

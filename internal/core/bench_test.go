@@ -30,8 +30,9 @@ func benchTimed(b *testing.B, name string) (*place.Placement, *sta.Timing) {
 
 var benchAllocNames = []string{"c5315", "c6288", "industrial1"}
 
-// BenchmarkBuildProblemSolve is the seed per-solve allocation path: a full
-// problem construction plus a heuristic solve for every (beta, C) point.
+// BenchmarkBuildProblemSolve is the seed per-solve allocation path, kept as
+// the reference: a full buildProblem construction plus a heuristic solve
+// for every (beta, C) point.
 func BenchmarkBuildProblemSolve(b *testing.B) {
 	for _, name := range benchAllocNames {
 		b.Run(name, func(b *testing.B) {
@@ -40,11 +41,11 @@ func BenchmarkBuildProblemSolve(b *testing.B) {
 			b.ReportAllocs()
 			b.ResetTimer()
 			for i := 0; i < b.N; i++ {
-				p, err := BuildProblem(pl, tm, opts)
+				p, err := buildProblem(pl, tm, opts)
 				if err != nil {
 					b.Fatal(err)
 				}
-				if _, err := p.SolveHeuristic(); err != nil {
+				if _, err := p.solveHeuristic(); err != nil {
 					b.Fatal(err)
 				}
 			}
@@ -80,7 +81,7 @@ func BenchmarkAllocatorSolveAt(b *testing.B) {
 }
 
 // BenchmarkAllocatorMaterialize isolates problem materialization (no
-// solve), the direct counterpart of BuildProblem.
+// solve), the direct counterpart of buildProblem.
 func BenchmarkAllocatorMaterialize(b *testing.B) {
 	pl, tm := benchTimed(b, "c5315")
 	al, err := NewAllocator(pl, tm)

@@ -63,7 +63,7 @@ func tinyProblem(t *testing.T, rng *rand.Rand) *Problem {
 	}
 	beta := 0.03 + rng.Float64()*0.09
 	c := 2 + rng.Intn(2)
-	p, err := BuildProblem(pl, tm, Options{Beta: beta, MaxClusters: c, MaxBiasPairs: c})
+	p, err := buildProblem(pl, tm, Options{Beta: beta, MaxClusters: c, MaxBiasPairs: c})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -114,7 +114,7 @@ func TestAllocatorsAgainstExhaustiveEnumeration(t *testing.T) {
 			continue // beta too small for this circuit; nothing to check
 		}
 		want, feasible := bruteForce(p)
-		single, errSingle := p.SingleBB()
+		single, errSingle := p.singleBB()
 
 		if !feasible {
 			if errSingle == nil {
@@ -125,7 +125,7 @@ func TestAllocatorsAgainstExhaustiveEnumeration(t *testing.T) {
 		tried++
 
 		// Heuristic: feasible and no better than the optimum.
-		h, err := p.SolveHeuristic()
+		h, err := p.solveHeuristic()
 		if err != nil {
 			t.Fatalf("trial %d: heuristic failed on feasible instance: %v", trial, err)
 		}
@@ -189,7 +189,7 @@ func TestSolveILPWorkerInvariance(t *testing.T) {
 		if p.NumConstraints() == 0 {
 			continue
 		}
-		h, err := p.SolveHeuristic()
+		h, err := p.solveHeuristic()
 		if err != nil {
 			continue // uncompensatable instance; the oracle test covers these
 		}

@@ -25,7 +25,7 @@ func problem(t *testing.T, name string, beta float64, c int) *Problem {
 	if err != nil {
 		t.Fatal(err)
 	}
-	p, err := BuildProblem(pl, tm, Options{Beta: beta, MaxClusters: c})
+	p, err := buildProblem(pl, tm, Options{Beta: beta, MaxClusters: c})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -59,7 +59,7 @@ func TestMultiplierDominatesConstraintCounts(t *testing.T) {
 
 func TestSingleBBUniformAndFeasible(t *testing.T) {
 	p := problem(t, "c1355", 0.05, 3)
-	s, err := p.SingleBB()
+	s, err := p.singleBB()
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -101,11 +101,11 @@ func TestHeuristicInvariants(t *testing.T) {
 		{"c7552", 0.05, 3}, {"adder128", 0.10, 3},
 	} {
 		p := problem(t, tc.name, tc.beta, tc.c)
-		single, err := p.SingleBB()
+		single, err := p.singleBB()
 		if err != nil {
 			t.Fatalf("%s: %v", tc.name, err)
 		}
-		h, err := p.SolveHeuristic()
+		h, err := p.solveHeuristic()
 		if err != nil {
 			t.Fatalf("%s: %v", tc.name, err)
 		}
@@ -133,11 +133,11 @@ func TestHeuristicSavesLeakage(t *testing.T) {
 	// public benchmark the heuristic must save something at beta=10%.
 	for _, name := range []string{"c1355", "c3540", "c5315", "c7552"} {
 		p := problem(t, name, 0.10, 3)
-		single, err := p.SingleBB()
+		single, err := p.singleBB()
 		if err != nil {
 			t.Fatal(err)
 		}
-		h, err := p.SolveHeuristic()
+		h, err := p.solveHeuristic()
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -154,19 +154,19 @@ func TestSavingsGrowWithBeta(t *testing.T) {
 	for _, name := range names {
 		p5 := problem(t, name, 0.05, 3)
 		p10 := problem(t, name, 0.10, 3)
-		s5, err := p5.SingleBB()
+		s5, err := p5.singleBB()
 		if err != nil {
 			t.Fatal(err)
 		}
-		h5, err := p5.SolveHeuristic()
+		h5, err := p5.solveHeuristic()
 		if err != nil {
 			t.Fatal(err)
 		}
-		s10, err := p10.SingleBB()
+		s10, err := p10.singleBB()
 		if err != nil {
 			t.Fatal(err)
 		}
-		h10, err := p10.SolveHeuristic()
+		h10, err := p10.solveHeuristic()
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -182,11 +182,11 @@ func TestSavingsGrowWithBeta(t *testing.T) {
 
 func TestCOneDegeneratesToSingleBB(t *testing.T) {
 	p := problem(t, "c1355", 0.05, 1)
-	single, err := p.SingleBB()
+	single, err := p.singleBB()
 	if err != nil {
 		t.Fatal(err)
 	}
-	h, err := p.SolveHeuristic()
+	h, err := p.solveHeuristic()
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -202,10 +202,10 @@ func TestInfeasibleBetaRejected(t *testing.T) {
 	// A 50% slowdown needs a ~33% delay reduction; FBB tops out around
 	// 15-18%, so PassOne must fail.
 	p := problem(t, "c1355", 0.50, 3)
-	if _, err := p.PassOne(); err == nil {
+	if _, err := p.passOne(); err == nil {
 		t.Fatal("PassOne accepted an uncompensatable slowdown")
 	}
-	if _, err := p.SolveHeuristic(); err == nil {
+	if _, err := p.solveHeuristic(); err == nil {
 		t.Fatal("heuristic accepted an uncompensatable slowdown")
 	}
 }
@@ -213,11 +213,11 @@ func TestInfeasibleBetaRejected(t *testing.T) {
 func TestILPOnSmallDesign(t *testing.T) {
 	for _, c := range []int{2, 3} {
 		p := problem(t, "c1355", 0.05, c)
-		single, err := p.SingleBB()
+		single, err := p.singleBB()
 		if err != nil {
 			t.Fatal(err)
 		}
-		h, err := p.SolveHeuristic()
+		h, err := p.solveHeuristic()
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -247,11 +247,11 @@ func TestILPOnSmallDesign(t *testing.T) {
 func TestILPMoreClustersNeverWorse(t *testing.T) {
 	p2 := problem(t, "c1355", 0.10, 2)
 	p3 := problem(t, "c1355", 0.10, 3)
-	h2, err := p2.SolveHeuristic()
+	h2, err := p2.solveHeuristic()
 	if err != nil {
 		t.Fatal(err)
 	}
-	h3, err := p3.SolveHeuristic()
+	h3, err := p3.solveHeuristic()
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -263,10 +263,11 @@ func TestILPMoreClustersNeverWorse(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if s2 == nil || s3 == nil {
-		t.Skip("ILP budget expired without incumbent")
+	if !s2.Proven || !s3.Proven {
+		t.Fatalf("c1355 at beta 10%% must solve to proven optimality under the default node budget (C=2 %v, C=3 %v)",
+			s2.Proven, s3.Proven)
 	}
-	if s3.Proven && s2.Proven && s3.ExtraLeakNW > s2.ExtraLeakNW+1e-6 {
+	if s3.ExtraLeakNW > s2.ExtraLeakNW+1e-6 {
 		t.Errorf("C=3 optimum %.2f worse than C=2 optimum %.2f", s3.ExtraLeakNW, s2.ExtraLeakNW)
 	}
 }
@@ -303,17 +304,17 @@ func TestBuildProblemValidation(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, err := BuildProblem(pl, tm, Options{Beta: 0}); err == nil {
+	if _, err := buildProblem(pl, tm, Options{Beta: 0}); err == nil {
 		t.Error("beta=0 accepted")
 	}
-	if _, err := BuildProblem(pl, tm, Options{Beta: 0.05, MaxClusters: -2}); err == nil {
+	if _, err := buildProblem(pl, tm, Options{Beta: 0.05, MaxClusters: -2}); err == nil {
 		t.Error("negative cluster cap accepted")
 	}
 }
 
 func TestVbsOf(t *testing.T) {
 	p := problem(t, "c1355", 0.05, 3)
-	h, err := p.SolveHeuristic()
+	h, err := p.solveHeuristic()
 	if err != nil {
 		t.Fatal(err)
 	}

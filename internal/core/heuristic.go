@@ -44,9 +44,11 @@ func growBools(s []bool, n int) []bool {
 	return s[:n]
 }
 
-// passOneInto is PassOne writing the winning uniform assignment into assign
-// (len N): on success assign is uniformly jopt, exactly the starting point
-// PassTwo wants.
+// passOneInto is the paper's PASSONE (Figure 5): assign every row to level
+// j for increasing j and check timing. It returns jopt, the lowest uniform
+// level meeting timing, with assign (len N) left uniformly at jopt: the
+// block-level "single BB" baseline of Table 1 and the starting point of
+// PassTwo.
 func (p *Problem) passOneInto(assign []int) (int, error) {
 	for j := 0; j < p.P; j++ {
 		for i := range assign {
@@ -60,28 +62,11 @@ func (p *Problem) passOneInto(assign []int) (int, error) {
 		"(design slowed beyond the FBB compensation range)", p.Beta*100)
 }
 
-// PassOne finds the lowest uniform bias level meeting timing: assign every
-// row to level j for increasing j and check timing (the paper's Figure 5,
-// PASSONE). The result is jopt; the corresponding uniform assignment is the
-// block-level "single BB" baseline of Table 1.
-func (p *Problem) PassOne() (int, error) {
-	return p.passOneInto(make([]int, p.N))
-}
-
-// SingleBB returns the block-level single-voltage baseline: all rows at jopt.
-func (p *Problem) SingleBB() (*Solution, error) {
-	var s heurScratch
-	sol, err := p.singleBBScratch(&s)
-	if err != nil {
-		return nil, err
-	}
-	return sol.Clone(), nil
-}
-
-// singleBBScratch is SingleBB on reusable buffers; the returned Solution is
-// s.solSingle — a slot separate from the heuristic's, so a baseline and one
-// later heuristic solve may coexist — and is invalidated by the next
-// singleBBScratch call on the same scratch.
+// singleBBScratch returns the block-level single-voltage baseline (all rows
+// at jopt) on reusable buffers. The returned Solution is s.solSingle — a
+// slot separate from the heuristic's, so a baseline and one later heuristic
+// solve may coexist — and is invalidated by the next singleBBScratch call
+// on the same scratch.
 func (p *Problem) singleBBScratch(s *heurScratch) (*Solution, error) {
 	s.assign = growInts(s.assign, p.N)
 	if _, err := p.passOneInto(s.assign); err != nil {
@@ -143,12 +128,6 @@ type timingState struct {
 	violated int
 }
 
-func (p *Problem) newTimingState(assign []int) *timingState {
-	st := &timingState{}
-	p.initTimingState(st, assign, make([]float64, len(p.Constraints)))
-	return st
-}
-
 // initTimingState readies st over assign using sigma (len = constraints) as
 // the accumulator buffer.
 func (p *Problem) initTimingState(st *timingState, assign []int, sigma []float64) {
@@ -194,16 +173,9 @@ func (st *timingState) move(row, to int) {
 
 func (st *timingState) feasible() bool { return st.violated == 0 }
 
-// HeuristicOptions toggle the post-passes of the greedy allocator, mainly
-// for ablation studies; the zero value enables everything.
-type HeuristicOptions struct {
-	// SkipReconcile disables the routing-cap enforcement pass.
-	SkipReconcile bool
-	// SkipRefine disables the final lowering sweep.
-	SkipRefine bool
-}
-
-// SolveHeuristic runs the two-pass greedy allocator (the paper's Figure 5).
+// solveHeuristicScratch is the two-pass greedy allocator (the paper's
+// Figure 5), running entirely on s's reusable buffers. The returned Solution
+// is s.sol, invalidated by the next solve on the same scratch.
 //
 // PassTwo interpretation (the published pseudocode reuses indices
 // ambiguously): rows are sorted by increasing timing criticality; starting
@@ -214,38 +186,32 @@ type HeuristicOptions struct {
 // appear). The walk continues level by level until no-body-bias is reached.
 // Complexity is O(P*N) row moves, each with an incremental timing check, so
 // the runtime is linear in the rows, as the paper claims.
-func (p *Problem) SolveHeuristic() (*Solution, error) {
-	return p.SolveHeuristicOpts(HeuristicOptions{})
-}
-
-// SolveHeuristicOpts is SolveHeuristic with ablation toggles.
-func (p *Problem) SolveHeuristicOpts(hopts HeuristicOptions) (*Solution, error) {
-	var s heurScratch
-	sol, err := p.solveHeuristicScratch(&s, hopts)
+func (p *Problem) solveHeuristicScratch(s *heurScratch) (*Solution, error) {
+	var st timingState
+	jopt, err := p.greedyWalk(s, &st)
 	if err != nil {
 		return nil, err
 	}
-	return sol.Clone(), nil
+	if jopt > 0 {
+		p.reconcilePairs(&st, s.assign, s)
+		p.refineDown(&st, s.assign, s)
+	}
+	if err := p.fillSolution(&s.sol, s.levelSeen, s.assign, "heuristic", false); err != nil {
+		return nil, err
+	}
+	return &s.sol, nil
 }
 
-// solveHeuristicScratch is the single implementation of the two-pass
-// heuristic, running entirely on s's reusable buffers; Problem.SolveHeuristic
-// and Instance solves both route here, so they cannot diverge. The returned
-// Solution is s.sol, invalidated by the next solve on the same scratch.
-func (p *Problem) solveHeuristicScratch(s *heurScratch, hopts HeuristicOptions) (*Solution, error) {
+// greedyWalk runs PassOne and the PassTwo level walk on s's buffers, leaving
+// the walked assignment in s.assign and its incremental timing in st, ready
+// for the post-passes. jopt == 0 means there is nothing to compensate:
+// s.assign is uniformly NBB (a single cluster) and st is left unset.
+func (p *Problem) greedyWalk(s *heurScratch, st *timingState) (int, error) {
 	s.assign = growInts(s.assign, p.N)
 	s.levelSeen = growBools(s.levelSeen, p.P)
-	assign := s.assign
-	jopt, err := p.passOneInto(assign)
-	if err != nil {
-		return nil, err
-	}
-	if jopt == 0 {
-		// Nothing to compensate; a single NBB cluster.
-		if err := p.fillSolution(&s.sol, s.levelSeen, assign, "heuristic", false); err != nil {
-			return nil, err
-		}
-		return &s.sol, nil
+	jopt, err := p.passOneInto(s.assign)
+	if err != nil || jopt == 0 {
+		return jopt, err
 	}
 
 	// Rank rows by increasing criticality (least critical dropped first).
@@ -260,27 +226,15 @@ func (p *Problem) solveHeuristicScratch(s *heurScratch, hopts HeuristicOptions) 
 	sort.Stable(&s.sorter)
 
 	s.sigma = growFloats(s.sigma, len(p.Constraints))
-	var st timingState
-	p.initTimingState(&st, assign, s.sigma)
+	p.initTimingState(st, s.assign, s.sigma)
 	if !st.feasible() {
-		return nil, errors.New("core: PassOne solution fails incremental check")
+		return 0, errors.New("core: PassOne solution fails incremental check")
 	}
-
-	p.walkDown(&st, order, jopt)
-
+	p.walkDown(st, order, jopt)
 	if !st.feasible() {
-		return nil, errors.New("core: heuristic produced an infeasible assignment")
+		return 0, errors.New("core: heuristic produced an infeasible assignment")
 	}
-	if !hopts.SkipReconcile {
-		p.reconcilePairs(&st, assign, s)
-	}
-	if !hopts.SkipRefine {
-		p.refineDown(&st, assign, s)
-	}
-	if err := p.fillSolution(&s.sol, s.levelSeen, assign, "heuristic", false); err != nil {
-		return nil, err
-	}
-	return &s.sol, nil
+	return jopt, nil
 }
 
 // walkDown is the PassTwo level walk: rows are dropped in `order` (least

@@ -27,9 +27,6 @@ type ILPOptions struct {
 	// Workers sets the tree-parallelism degree (0 = GOMAXPROCS). Any
 	// value returns the same result under a node budget.
 	Workers int
-	// Branching selects the branching rule: "" or "pseudocost" (strong-
-	// branching-seeded pseudo-costs), or "mostfrac".
-	Branching string
 	// NoPresolve disables the presolve pass (ablation switch).
 	NoPresolve bool
 	// WarmStart primes the incumbent, typically with the heuristic
@@ -218,7 +215,6 @@ func (p *Problem) SolveILP(opts ILPOptions) (*Solution, *ilp.Result, error) {
 	var iopts ilp.Options
 	iopts.NodeLimit = opts.NodeLimit
 	iopts.Workers = opts.Workers
-	iopts.Branching = opts.Branching
 	iopts.NoPresolve = opts.NoPresolve
 	if opts.TimeLimit > 0 {
 		ctx, cancel := context.WithTimeout(context.Background(), opts.TimeLimit)

@@ -33,13 +33,29 @@ type SolveCache struct {
 const maxSolveCache = 256
 
 // solveKey identifies one allocation instance: the normalized options plus
-// the solver value itself (nil = the registered default heuristic). Keying
-// on the interface value means two requests share an entry only when they
-// share the solver configuration, not merely its name.
+// the solver's configuration (see solverKey). Two requests share an entry
+// only when they share the solver configuration, not merely its name.
 type solveKey struct {
 	beta            float64
 	clusters, pairs int
-	solver          Solver
+	solver          any
+}
+
+// solverKey is a solver's cache identity. The built-in pointer solvers key
+// on the configuration they point to: callers build a fresh one per request
+// (repro.NamedSolver does), and keying on the pointer would give every
+// request its own entry, none of which a later request can hit. Any other
+// solver (nil = the default heuristic) keys on its interface value.
+func solverKey(s Solver) any {
+	switch v := s.(type) {
+	case *ILPSolver:
+		return *v
+	case *LocalSolver:
+		return *v
+	case *RaceSolver:
+		return *v
+	}
+	return s
 }
 
 type solveEntry struct {
@@ -84,7 +100,7 @@ func (c *SolveCache) Solve(opts Options, solver Solver, buf *Instance) (sol *Sol
 	if solver != nil && !reflect.TypeOf(solver).Comparable() {
 		return c.solveUncached(opts, solver, buf)
 	}
-	key := solveKey{beta: opts.Beta, clusters: opts.MaxClusters, pairs: opts.MaxBiasPairs, solver: solver}
+	key := solveKey{beta: opts.Beta, clusters: opts.MaxClusters, pairs: opts.MaxBiasPairs, solver: solverKey(solver)}
 
 	c.mu.Lock()
 	if e, ok := c.m[key]; ok {

@@ -57,7 +57,7 @@ func TestSolveCacheCachesGracefulFailure(t *testing.T) {
 		t.Fatalf("structural error for an in-range materialization: %v", err)
 	}
 	if solveErr == nil || sol != nil {
-		t.Skip("beta 0.99 unexpectedly compensable on this fixture")
+		t.Fatal("beta 0.99 is compensable on this fixture; the test needs a target beyond the FBB range")
 	}
 	if c.Len() != 1 {
 		t.Fatalf("graceful failure not cached: Len = %d", c.Len())
@@ -103,6 +103,69 @@ func TestSolveCacheCoalesces(t *testing.T) {
 	for i := 1; i < n; i++ {
 		if sols[i] != sols[0] {
 			t.Fatalf("goroutine %d got a distinct Solution pointer: coalescing failed", i)
+		}
+	}
+}
+
+// TestSolveCacheKeysPointerSolversByConfig: callers build a fresh *ILPSolver
+// (or *LocalSolver, *RaceSolver) per request, so the cache must key on the
+// configuration, not the pointer. Otherwise every request adds an entry no
+// later request can hit, and once the cache is full every request on the
+// design bypasses it, default-solver requests included.
+func TestSolveCacheKeysPointerSolversByConfig(t *testing.T) {
+	pl, tm := randomTimed(t, cell.Default(), 11)
+	al, err := NewAllocator(pl, tm)
+	if err != nil {
+		t.Fatal(err)
+	}
+	opts := Options{Beta: 0.04, MaxClusters: 3, MaxBiasPairs: 2}
+	c := NewSolveCache(al)
+	var inst *Instance
+	var first *Solution
+	for i := 0; i < 300; i++ {
+		sol, got, solveErr, err := c.Solve(opts, &ILPSolver{Opts: ILPOptions{NodeLimit: 200}}, inst)
+		inst = got
+		if err != nil || solveErr != nil {
+			t.Fatalf("call %d: %v / %v", i, err, solveErr)
+		}
+		if first == nil {
+			first = sol
+		} else if sol != first {
+			t.Fatalf("call %d re-solved an identically configured ILP", i)
+		}
+	}
+	if c.Len() != 1 {
+		t.Fatalf("300 identically configured ILP solvers left %d entries, want 1", c.Len())
+	}
+	if _, _, _, err := c.Solve(opts, &ILPSolver{Opts: ILPOptions{NodeLimit: 201}}, inst); err != nil {
+		t.Fatal(err)
+	}
+	if c.Len() != 2 {
+		t.Fatalf("a different ILP budget shared an entry: Len = %d, want 2", c.Len())
+	}
+	heur, _, _, err := c.Solve(opts, nil, inst)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if c.Len() != 3 {
+		t.Fatalf("default-solver request not inserted: Len = %d, want 3", c.Len())
+	}
+	if again, _, _, _ := c.Solve(opts, nil, inst); again != heur {
+		t.Fatal("default-solver request missed its own entry")
+	}
+	for _, mk := range []func() Solver{
+		func() Solver { return &LocalSolver{} },
+		func() Solver { return &RaceSolver{ILP: ILPOptions{NodeLimit: 200}} },
+	} {
+		before := c.Len()
+		for i := 0; i < 3; i++ {
+			if _, _, _, err := c.Solve(opts, mk(), inst); err != nil {
+				t.Fatal(err)
+			}
+		}
+		if c.Len() != before+1 {
+			t.Fatalf("three identically configured %s solvers added %d entries, want 1",
+				mk().Name(), c.Len()-before)
 		}
 	}
 }

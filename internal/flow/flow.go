@@ -43,9 +43,8 @@ type Prefix struct {
 	Analyzer *sta.Analyzer
 	// Allocator is the reusable clustering engine over (Placement,
 	// Timing): every (beta, C) experiment point materializes its problem
-	// through it instead of a fresh core.BuildProblem. Like the Analyzer
-	// it is immutable and shared; each worker keeps its own core.Instance
-	// scratch.
+	// through it. Like the Analyzer it is immutable and shared; each
+	// worker keeps its own core.Instance scratch.
 	Allocator *core.Allocator
 	// Solves is the prefix-level allocation-solve cache over Allocator:
 	// population studies hand it to variation.TuneOptions.SolveCache so

@@ -1,13 +1,12 @@
 package ilp
 
-// Branching rules. The search asks the rule to pick a column among the
-// fractional integer variables of a node relaxation; rules may consult
-// child relaxations (strong branching) through the search's worker pool.
-// All rule state updates happen at deterministic commit points, so a rule
+// Branching. The search asks the pseudo-cost rule to pick a column among
+// the fractional integer variables of a node relaxation; the rule may
+// consult child relaxations (strong branching) through the search's worker
+// pool. All rule state updates happen at deterministic commit points, so it
 // makes identical decisions at any worker count.
 
 import (
-	"fmt"
 	"math"
 	"sort"
 
@@ -38,45 +37,6 @@ type pickResult struct {
 	downInfeas, upInfeas bool
 }
 
-type brancher interface {
-	name() string
-	pick(sr *search, nd *pnode, r *lp.Result, cands []int) pickResult
-	// observe records the relaxation degradation of a committed child:
-	// dir is -1 (down) or +1 (up), frac the distance the branch moved
-	// the variable, parentObj/childObj the two relaxation objectives.
-	observe(col int, dir int8, frac, parentObj, childObj float64)
-}
-
-func newBrancher(rule string, n int) (brancher, error) {
-	switch rule {
-	case "", "pseudocost":
-		return newPseudoCost(n), nil
-	case "mostfrac":
-		return mostFractional{}, nil
-	}
-	return nil, fmt.Errorf("ilp: unknown branching rule %q (want pseudocost or mostfrac)", rule)
-}
-
-// mostFractional picks the variable farthest from integrality (the
-// pre-rebuild baseline rule). Ties break to the lowest column.
-type mostFractional struct{}
-
-func (mostFractional) name() string { return "mostfrac" }
-
-func (mostFractional) pick(_ *search, _ *pnode, r *lp.Result, cands []int) pickResult {
-	best, worst := cands[0], 0.0
-	for _, j := range cands {
-		f := math.Abs(r.X[j] - math.Round(r.X[j]))
-		if f > worst {
-			worst = f
-			best = j
-		}
-	}
-	return pickResult{col: best}
-}
-
-func (mostFractional) observe(int, int8, float64, float64, float64) {}
-
 // pseudoCost estimates per-variable objective degradation from observed
 // branchings, seeded by strong branching until a variable is reliable.
 type pseudoCost struct {
@@ -97,8 +57,9 @@ func newPseudoCost(n int) *pseudoCost {
 	}
 }
 
-func (p *pseudoCost) name() string { return "pseudocost" }
-
+// observe records the relaxation degradation of a committed child: dir is
+// -1 (down) or +1 (up), frac the distance the branch moved the variable,
+// parentObj/childObj the two relaxation objectives.
 func (p *pseudoCost) observe(col int, dir int8, frac, parentObj, childObj float64) {
 	d := childObj - parentObj
 	if d < 0 {

@@ -72,9 +72,6 @@ type Options struct {
 	// speculatively solve node relaxations ahead of the deterministic
 	// commit order; the committed result is identical at any value.
 	Workers int
-	// Branching selects the branching rule: "pseudocost" (default, with
-	// reliability initialization by strong branching) or "mostfrac".
-	Branching string
 	// NoPresolve skips the presolve reductions (for ablations).
 	NoPresolve bool
 	// Interrupt, when non-nil, is polled between node commits; once it
@@ -107,9 +104,10 @@ type Result struct {
 	PresolveFixedVars   int
 	PresolveDroppedRows int
 	PresolveTightened   int
-	// Branching echoes the rule that ran; StrongLPs counts the strong-
-	// branching LP solves spent on reliability initialization (these are
-	// not part of Nodes).
+	// Branching names the branching rule, always "pseudocost" (pseudo-
+	// costs with reliability initialization by strong branching);
+	// StrongLPs counts the strong-branching LP solves spent on that
+	// initialization (these are not part of Nodes).
 	Branching string
 	StrongLPs int
 }
@@ -154,11 +152,7 @@ func Solve(m *Model, opts Options) (Result, error) {
 		return res, nil
 	}
 
-	br, err := newBrancher(opts.Branching, len(rd.m.C))
-	if err != nil {
-		return Result{}, err
-	}
-	res.Branching = br.name()
+	res.Branching = "pseudocost"
 
 	if len(rd.m.C) == 0 {
 		// Presolve fixed every variable: the model is solved outright.
@@ -172,7 +166,7 @@ func Solve(m *Model, opts Options) (Result, error) {
 		return res, nil
 	}
 
-	sr := newSearch(rd, br, opts.Workers)
+	sr := newSearch(rd, newPseudoCost(len(rd.m.C)), opts.Workers)
 	if err := sr.run(&res, nodeLimit, opts.Interrupt); err != nil {
 		return Result{}, err
 	}

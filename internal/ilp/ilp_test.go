@@ -122,8 +122,10 @@ func TestWarmStartPrunes(t *testing.T) {
 }
 
 func TestNodeBudgetReportsBound(t *testing.T) {
-	// A larger knapsack; a 1-node budget cannot prove optimality.
-	rng := rand.New(rand.NewSource(3))
+	// A larger knapsack; a 1-node budget cannot prove optimality. The seed
+	// is pinned: seed 3's knapsack, the original fixture, presolves and
+	// strong-branches to a proof at the root.
+	rng := rand.New(rand.NewSource(1))
 	n := 25
 	m := &Model{Problem: lp.Problem{
 		C:   make([]float64, n),
@@ -142,7 +144,7 @@ func TestNodeBudgetReportsBound(t *testing.T) {
 		t.Fatal(err)
 	}
 	if r.Status == OptimalProven {
-		t.Skip("instance solved at the root; budget path not exercised")
+		t.Fatal("knapsack solved at the root; the fixture no longer exercises the budget path")
 	}
 	if r.Status != NoSolution && r.Status != FeasibleBudget {
 		t.Fatalf("status = %v", r.Status)

@@ -88,7 +88,7 @@ type search struct {
 	rd      *reduction
 	m       *Model
 	isInt   []bool
-	br      brancher
+	br      *pseudoCost
 	workers int
 
 	// strong-branching accounting (commit loop only).
@@ -110,7 +110,7 @@ type search struct {
 	nextSeq int64
 }
 
-func newSearch(rd *reduction, br brancher, workers int) *search {
+func newSearch(rd *reduction, br *pseudoCost, workers int) *search {
 	if workers <= 0 {
 		workers = runtime.GOMAXPROCS(0)
 	}

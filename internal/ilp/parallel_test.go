@@ -11,33 +11,26 @@ import (
 // TestSolveWorkerInvariance is the determinism contract: under a node
 // budget, Solve returns a bit-identical Result — incumbent vector,
 // objective, bound, status, node count, diagnostics — at any worker
-// count. Random models, both branching rules, budgets tight enough that
-// some runs truncate.
+// count. Random models, budgets tight enough that some runs truncate.
 func TestSolveWorkerInvariance(t *testing.T) {
 	rng := rand.New(rand.NewSource(17))
 	workers := []int{1, 2, 8}
 	for trial := 0; trial < 60; trial++ {
 		m := randomBinaryModel(rng)
-		for _, rule := range []string{"pseudocost", "mostfrac"} {
-			for _, nodeLimit := range []int{4, 0} {
-				var base Result
-				for wi, w := range workers {
-					got, err := Solve(m, Options{
-						NodeLimit: nodeLimit,
-						Workers:   w,
-						Branching: rule,
-					})
-					if err != nil {
-						t.Fatal(err)
-					}
-					if wi == 0 {
-						base = got
-						continue
-					}
-					if !reflect.DeepEqual(base, got) {
-						t.Fatalf("trial %d rule=%s limit=%d: workers=%d diverged from workers=1:\n%+v\nvs\n%+v",
-							trial, rule, nodeLimit, w, base, got)
-					}
+		for _, nodeLimit := range []int{4, 0} {
+			var base Result
+			for wi, w := range workers {
+				got, err := Solve(m, Options{NodeLimit: nodeLimit, Workers: w})
+				if err != nil {
+					t.Fatal(err)
+				}
+				if wi == 0 {
+					base = got
+					continue
+				}
+				if !reflect.DeepEqual(base, got) {
+					t.Fatalf("trial %d limit=%d: workers=%d diverged from workers=1:\n%+v\nvs\n%+v",
+						trial, nodeLimit, w, base, got)
 				}
 			}
 		}
@@ -90,45 +83,5 @@ func TestSolveWorkerInvarianceWarm(t *testing.T) {
 				t.Fatalf("trial %d: workers=%d diverged:\n%+v\nvs\n%+v", trial, w, base, got)
 			}
 		}
-	}
-}
-
-// TestBranchingRulesAgreeOnOptimum: both rules must reach the same proven
-// objective (their trees differ; the answer may not).
-func TestBranchingRulesAgreeOnOptimum(t *testing.T) {
-	rng := rand.New(rand.NewSource(29))
-	for trial := 0; trial < 60; trial++ {
-		m := randomBinaryModel(rng)
-		pc, err := Solve(m, Options{Branching: "pseudocost"})
-		if err != nil {
-			t.Fatal(err)
-		}
-		mf, err := Solve(m, Options{Branching: "mostfrac"})
-		if err != nil {
-			t.Fatal(err)
-		}
-		if pc.Status != mf.Status {
-			t.Fatalf("trial %d: pseudocost=%v mostfrac=%v", trial, pc.Status, mf.Status)
-		}
-		if pc.Status == OptimalProven && pc.Obj != mf.Obj {
-			// Equal-valued optima may differ in X; objective must match
-			// to LP tolerance.
-			if d := pc.Obj - mf.Obj; d > 1e-6 || d < -1e-6 {
-				t.Fatalf("trial %d: pseudocost obj %f vs mostfrac %f", trial, pc.Obj, mf.Obj)
-			}
-		}
-	}
-}
-
-func TestUnknownBranchingRuleRejected(t *testing.T) {
-	m := &Model{Problem: lp.Problem{
-		C:   []float64{-1},
-		A:   [][]float64{{1}},
-		Rel: []lp.Rel{lp.LE},
-		B:   []float64{1},
-		U:   []float64{1},
-	}}
-	if _, err := Solve(m, Options{Branching: "bogus"}); err == nil {
-		t.Fatal("unknown branching rule accepted")
 	}
 }

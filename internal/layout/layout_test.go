@@ -31,11 +31,11 @@ func solved(t *testing.T, name string, beta float64, c int) fixture {
 	if err != nil {
 		t.Fatal(err)
 	}
-	p, err := core.BuildProblem(pl, tm, core.Options{Beta: beta, MaxClusters: c})
+	al, err := core.NewAllocator(pl, tm)
 	if err != nil {
 		t.Fatal(err)
 	}
-	sol, err := p.SolveHeuristic()
+	sol, _, err := al.SolveAt(core.Options{Beta: beta, MaxClusters: c}, nil, nil)
 	if err != nil {
 		t.Fatal(err)
 	}

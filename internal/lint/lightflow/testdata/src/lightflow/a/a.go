@@ -38,7 +38,6 @@ func pathsRead(an *sta.Analyzer) int {
 
 func recoverFamily(rt *variation.Retimer, die *variation.Die, proc *tech.Process, lm *variation.LeakModel) {
 	nom, _ := rt.TimeLight(die)
-	variation.RecoverLeakageOn(rt, nom, die, proc, variation.RBBOptions{}) // want `light \(Dcrit-only\) re-time flows into repro/internal/variation\.RecoverLeakageOn`
 	variation.RecoverLeakageWith(rt, lm, nom, die, variation.RBBOptions{}) // want `light \(Dcrit-only\) re-time flows into repro/internal/variation\.RecoverLeakageWith`
 }
 

@@ -121,7 +121,7 @@ func TestYieldStreamBatchWidthInvariance(t *testing.T) {
 	for _, width := range []int{1, 3, 16, 64} {
 		for _, workers := range []int{1, 4} {
 			o := opts
-			o.BatchWidth = width
+			o.batchWidth = width
 			o.Workers = workers
 			got, err := YieldStream(context.Background(), an, al, nom, proc, m, dies, seed, o,
 				func(die int, r *TuneResult) error {

@@ -26,19 +26,18 @@ func benchPlaced(b *testing.B, name string) *place.Placement {
 	return pl
 }
 
-// BenchmarkYieldStudy measures the full Monte-Carlo tuning loop per die —
-// the hot path the Analyzer refactor attacks. Sequential workers so the
-// per-die cost is directly comparable run to run.
-func BenchmarkYieldStudy(b *testing.B) {
-	pl := benchPlaced(b, "c5315")
-	proc := tech.Default45nm()
-	m := Default()
+// BenchmarkYieldStream measures the Monte-Carlo tuning study per die over
+// a shared Analyzer and Allocator: sampling, batched light re-times,
+// leakage and the allocation tail. Sequential workers so the per-die cost
+// is directly comparable run to run.
+func BenchmarkYieldStream(b *testing.B) {
+	y := newYieldBench(b, "c5315")
 	const dies = 10
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		if _, err := YieldStudy(context.Background(), pl, proc, m, dies, 7,
-			TuneOptions{GuardbandPct: 0.005, Workers: 1}); err != nil {
+		if _, err := YieldStream(context.Background(), y.an, y.al, y.nom, y.proc, y.m, dies, 7,
+			TuneOptions{GuardbandPct: 0.005, Workers: 1}, nil); err != nil {
 			b.Fatal(err)
 		}
 	}
@@ -159,8 +158,8 @@ func BenchmarkLeakScalar(b *testing.B) {
 			b.ReportAllocs()
 			b.ResetTimer()
 			for i := 0; i < b.N; i++ {
-				_ = die.LeakageNW(y.pl, y.proc, nil)
-				_ = die.LeakageNW(y.pl, y.proc, assign)
+				_ = die.leakageNW(y.pl, y.proc, nil)
+				_ = die.leakageNW(y.pl, y.proc, assign)
 			}
 		})
 	}
@@ -350,7 +349,7 @@ func BenchmarkDieRetimeAnalyze(b *testing.B) {
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		if _, err := die.Timing(pl); err != nil {
+		if _, err := die.timing(pl); err != nil {
 			b.Fatal(err)
 		}
 	}

@@ -13,7 +13,7 @@ import (
 // referenceTuneOn is the pre-fast-path per-die tuning loop, kept verbatim
 // as the end-to-end differential reference: every die-side re-time is a
 // full Run (paths extracted and thrown away), and every leakage is the
-// scalar per-gate Die.LeakageNW pass. The production loop — light re-times
+// scalar per-gate Die.leakageNW pass. The production loop — light re-times
 // through RunLight, leakage through the LeakModel tables — must reproduce
 // its TuneResults bit for bit.
 func referenceTuneOn(rt *Retimer, al *core.Allocator, instp **core.Instance,
@@ -28,7 +28,7 @@ func referenceTuneOn(rt *Retimer, al *core.Allocator, instp **core.Instance,
 	res := &TuneResult{
 		BetaActual:    dieDcrit/nom.DcritPS - 1,
 		DcritBeforePS: dieDcrit,
-		LeakBeforeNW:  die.LeakageNW(pl, proc, nil),
+		LeakBeforeNW:  die.leakageNW(pl, proc, nil),
 	}
 	limit := nom.DcritPS * (1 + opts.SlackTolPct)
 
@@ -70,7 +70,7 @@ func referenceTuneOn(rt *Retimer, al *core.Allocator, instp **core.Instance,
 		}
 		res.Solution = sol.Clone()
 		res.DcritAfterPS = tuned.DcritPS
-		res.LeakAfterNW = die.LeakageNW(pl, proc, res.Solution.Assign)
+		res.LeakAfterNW = die.leakageNW(pl, proc, res.Solution.Assign)
 		if tuned.DcritPS <= limit {
 			res.Met = true
 			return res, nil
@@ -203,7 +203,7 @@ func TestRecoverLeakageWithMatchesScalarReference(t *testing.T) {
 		want := &RBBResult{
 			DcritBeforePS: wantTm.DcritPS,
 			DcritAfterPS:  wantTm.DcritPS,
-			LeakBeforeNW:  die.LeakageNW(pl, proc, nil),
+			LeakBeforeNW:  die.leakageNW(pl, proc, nil),
 		}
 		want.LeakAfterNW = want.LeakBeforeNW
 		limit := nom.DcritPS * (1 - o.MarginPct)

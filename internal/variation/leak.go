@@ -5,16 +5,17 @@ import (
 	"repro/internal/tech"
 )
 
-// LeakModel is the batched form of Die.LeakageNW. The scalar path pays an
-// exp-heavy tech.Process.LeakageFactorBias per gate per evaluation, and the
-// tuning loop evaluates a die's leakage up to once per escalation on top of
-// the unbiased baseline. The factorization is the separable form
-// LeakageFactorBias computes: the subthreshold exponential splits into a
-// per-die per-gate variation factor exp(-dvth/(n kT/q)) — computed once per
-// die by SetDie — times a per-bias-level factor exp(-VthShift(vbs)/(n kT/q))
-// — computed once per (placement, process) for the whole grid at
-// construction — so evaluating any assignment is one multiply-add pass over
-// the gates, bit-identical to the scalar path.
+// LeakModel computes a die's total leakage under a row-level body-bias
+// assignment. The scalar form (the per-gate sum the package tests keep as
+// their oracle) pays an exp-heavy tech.Process.LeakageFactorBias per gate
+// per evaluation, and the tuning loop evaluates a die's leakage up to once
+// per escalation on top of the unbiased baseline. The factorization is the
+// separable form LeakageFactorBias computes: the subthreshold exponential
+// splits into a per-die per-gate variation factor exp(-dvth/(n kT/q)) —
+// computed once per die by SetDie — times a per-bias-level factor
+// exp(-VthShift(vbs)/(n kT/q)) — computed once per (placement, process) for
+// the whole grid at construction — so evaluating any assignment is one
+// multiply-add pass over the gates, bit-identical to the scalar path.
 //
 // Construction splits immutable from per-die state: the per-gate base
 // leakage, the row map and the per-level tables never change and are shared
@@ -92,7 +93,7 @@ func (lm *LeakModel) SetDie(die *Die) {
 
 // LeakageNW returns the SetDie die's total leakage in nanowatts under a
 // row-level assignment (nil = no body bias), bit-identical to the scalar
-// Die.LeakageNW.
+// per-gate sum.
 func (lm *LeakModel) LeakageNW(assign []int) float64 {
 	if assign == nil {
 		return lm.LeakageUniformNW(0)

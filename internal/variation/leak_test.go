@@ -10,7 +10,7 @@ import (
 // TestLeakModelMatchesScalar is the differential harness of the batched
 // leakage path: under random row assignments, uniform biases (forward and
 // reverse) and no bias at all, the precomputed-table multiply-add pass must
-// reproduce the scalar per-gate Die.LeakageNW / LeakageFactorBias loop bit
+// reproduce the scalar per-gate Die.leakageNW / LeakageFactorBias loop bit
 // for bit — including across die changes on one reused model.
 func TestLeakModelMatchesScalar(t *testing.T) {
 	pl := placed(t, "c1355")
@@ -24,7 +24,7 @@ func TestLeakModelMatchesScalar(t *testing.T) {
 		die := m.Sample(pl, proc, DieSeed(21, i))
 		lm.SetDie(die)
 
-		if want, got := die.LeakageNW(pl, proc, nil), lm.LeakageNW(nil); want != got {
+		if want, got := die.leakageNW(pl, proc, nil), lm.LeakageNW(nil); want != got {
 			t.Fatalf("die %d unbiased: %v, want %v", i, got, want)
 		}
 
@@ -33,7 +33,7 @@ func TestLeakModelMatchesScalar(t *testing.T) {
 			for r := range assign {
 				assign[r] = rng.Intn(grid.NumLevels())
 			}
-			want := die.LeakageNW(pl, proc, assign)
+			want := die.leakageNW(pl, proc, assign)
 			if got := lm.LeakageNW(assign); want != got {
 				t.Fatalf("die %d assignment %v: %v, want %v", i, assign, got, want)
 			}
@@ -61,11 +61,11 @@ func TestLeakModelTemperature(t *testing.T) {
 	die := Default().Sample(pl, base, 3)
 	lm := NewLeakModel(pl, hot)
 	lm.SetDie(die)
-	want := die.LeakageNW(pl, hot, nil)
+	want := die.leakageNW(pl, hot, nil)
 	if got := lm.LeakageNW(nil); want != got {
 		t.Fatalf("hot unbiased leakage %v, want %v", got, want)
 	}
-	if cold := die.LeakageNW(pl, base, nil); cold == want {
+	if cold := die.leakageNW(pl, base, nil); cold == want {
 		t.Fatal("temperature derate had no effect; test is vacuous")
 	}
 }
@@ -82,10 +82,10 @@ func TestLeakModelCloneSharesTables(t *testing.T) {
 	d2 := m.Sample(pl, proc, 2)
 	lm.SetDie(d1)
 	cl.SetDie(d2)
-	if want, got := d1.LeakageNW(pl, proc, nil), lm.LeakageNW(nil); want != got {
+	if want, got := d1.leakageNW(pl, proc, nil), lm.LeakageNW(nil); want != got {
 		t.Fatalf("parent after clone SetDie: %v, want %v", got, want)
 	}
-	if want, got := d2.LeakageNW(pl, proc, nil), cl.LeakageNW(nil); want != got {
+	if want, got := d2.leakageNW(pl, proc, nil), cl.LeakageNW(nil); want != got {
 		t.Fatalf("clone: %v, want %v", got, want)
 	}
 }

@@ -56,33 +56,15 @@ func (o *RBBOptions) setDefaults() {
 	}
 }
 
-// RecoverLeakage applies the deepest uniform reverse bias that keeps the
-// die within nominal timing. The die's own variation is accounted for
+// RecoverLeakageWith applies the deepest uniform reverse bias that keeps
+// the die within nominal timing. The die's own variation is accounted for
 // exactly: each gate's delay combines its threshold shift with the reverse
-// bias through the process model. It is the one-shot form of
-// RecoverLeakageOn; population studies should share an Analyzer and a
-// LeakModel (RecoverLeakageWith).
-func RecoverLeakage(pl *place.Placement, nom *sta.Timing, die *Die, proc *tech.Process, opts RBBOptions) (*RBBResult, error) {
-	an, err := sta.NewAnalyzer(pl, sta.Options{})
-	if err != nil {
-		return nil, err
-	}
-	return RecoverLeakageOn(NewRetimer(an), nom, die, proc, opts)
-}
-
-// RecoverLeakageOn is RecoverLeakage on a reusable Retimer: the bias-scan
-// re-timings run through the Retimer's shared Analyzer's Dcrit-only fast
-// path into reused buffers (the scan only ever reads DcritPS). It builds a
-// fresh LeakModel per call; loops over a population share one through
-// RecoverLeakageWith.
-func RecoverLeakageOn(rt *Retimer, nom *sta.Timing, die *Die, proc *tech.Process, opts RBBOptions) (*RBBResult, error) {
-	return RecoverLeakageWith(rt, NewLeakModel(rt.Placement(), proc), nom, die, opts)
-}
-
-// RecoverLeakageWith is RecoverLeakageOn with a caller-owned LeakModel: the
-// unbiased and recovered leakages are one exp pass plus multiply-add sweeps
-// over lm's precomputed tables (lm must be built for rt's placement and the
-// die's process; its per-die state is overwritten).
+// bias through the process model. The bias-scan re-timings run through the
+// Retimer's shared Analyzer's Dcrit-only fast path into reused buffers (the
+// scan only ever reads DcritPS), and the unbiased and recovered leakages
+// are one exp pass plus multiply-add sweeps over lm's precomputed tables
+// (lm must be built for rt's placement and the die's process; its per-die
+// state is overwritten).
 func RecoverLeakageWith(rt *Retimer, lm *LeakModel, nom *sta.Timing, die *Die, opts RBBOptions) (*RBBResult, error) {
 	opts.setDefaults()
 	if nom == nil || die == nil {

@@ -123,15 +123,27 @@ func (s *Sampler) sampleRow(dv, dscale []float64, seed int64) {
 }
 
 // AgedInto ages d into out's reused buffers (nil allocates a fresh Die; out
-// == d ages in place), re-seeding the Sampler's generator from the die seed
-// exactly as Die.Aged does, so the aged population is bit-identical at zero
-// allocations.
+// == d ages in place) after NBTI-like aging: a t^0.16 threshold drift scaled
+// by the activity factor, with 20% per-gate spread drawn from the die's own
+// aging stream (the Sampler's generator re-seeded from the die seed), so the
+// aged population is deterministic per die and costs zero allocations.
+// years <= 0 copies d unaged.
 func (s *Sampler) AgedInto(out, d *Die, years, activity float64) *Die {
 	if years <= 0 {
 		return d.copyInto(out)
 	}
-	s.rng.Seed(agingSeed(d.Seed))
-	return agedInto(out, d, s.rng, s.proc, years, activity)
+	s.rng.Seed(d.Seed ^ 0x5eed)
+	if out == nil {
+		out = &Die{}
+	}
+	drift := AgingDVthV(years, activity)
+	out.Seed = d.Seed
+	out.grow(len(d.DVthV))
+	for g := range d.DVthV {
+		out.DVthV[g] = d.DVthV[g] + drift*(1+0.2*s.rng.NormFloat64())
+		out.DelayScale[g] = s.proc.DelayFactorDVth(out.DVthV[g])
+	}
+	return out
 }
 
 // copyInto copies d into out's buffers (nil allocates).
@@ -146,24 +158,5 @@ func (d *Die) copyInto(out *Die) *Die {
 	out.grow(len(d.DVthV))
 	copy(out.DVthV, d.DVthV)
 	copy(out.DelayScale, d.DelayScale)
-	return out
-}
-
-// agingSeed derives the deterministic aging-spread stream of a die.
-func agingSeed(dieSeed int64) int64 { return dieSeed ^ 0x5eed }
-
-// agedInto applies the NBTI drift with per-gate spread drawn from rng; the
-// shared body of Die.Aged and Sampler.AgedInto.
-func agedInto(out, d *Die, rng *rand.Rand, proc *tech.Process, years, activity float64) *Die {
-	if out == nil {
-		out = &Die{}
-	}
-	drift := AgingDVthV(years, activity)
-	out.Seed = d.Seed
-	out.grow(len(d.DVthV))
-	for g := range d.DVthV {
-		out.DVthV[g] = d.DVthV[g] + drift*(1+0.2*rng.NormFloat64())
-		out.DelayScale[g] = proc.DelayFactorDVth(out.DVthV[g])
-	}
 	return out
 }

@@ -78,9 +78,9 @@ func referenceSample(m Model, pl *place.Placement, proc *tech.Process, seed int6
 	return die
 }
 
-// referenceAged is Die.Aged's NBTI drift written out against the standard
-// library: the same per-die aging stream and spread, with the delay scale
-// from referenceDelayFactor.
+// referenceAged is the NBTI aging drift written out against the standard
+// library: the same per-die aging stream and spread AgedInto draws, with
+// the delay scale from referenceDelayFactor.
 func referenceAged(d *Die, proc *tech.Process, years, activity float64) *Die {
 	rng := rand.New(rand.NewSource(d.Seed ^ 0x5eed))
 	drift := AgingDVthV(years, activity)
@@ -154,9 +154,9 @@ func TestSamplerCloneIndependence(t *testing.T) {
 	requireDieEqual(t, want7, smp.SampleInto(a, 7), "original after clone draw")
 }
 
-// TestAgedIntoMatchesAged: Die.Aged and the buffer-reusing aging form must
-// both be bit-identical to the standard-library aging reference, including
-// in-place aging and the years<=0 copy-through.
+// TestAgedIntoMatchesAged: the buffer-reusing aging form must be
+// bit-identical to the standard-library aging reference, into fresh and
+// reused buffers, including in-place aging and the years<=0 copy-through.
 func TestAgedIntoMatchesAged(t *testing.T) {
 	pl := placed(t, "c1355")
 	proc := tech.Default45nm()
@@ -166,7 +166,7 @@ func TestAgedIntoMatchesAged(t *testing.T) {
 	for i := 0; i < 4; i++ {
 		die := m.Sample(pl, proc, DieSeed(3, i))
 		want := referenceAged(die, proc, 10, 0.8)
-		requireDieEqual(t, want, die.Aged(proc, 10, 0.8), "Aged")
+		requireDieEqual(t, want, smp.AgedInto(nil, die, 10, 0.8), "AgedInto fresh")
 		buf = smp.AgedInto(buf, die, 10, 0.8)
 		requireDieEqual(t, want, buf, "AgedInto")
 

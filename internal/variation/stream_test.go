@@ -35,7 +35,8 @@ func streamFixture(t *testing.T) (*sta.Analyzer, *core.Allocator, *sta.Timing) {
 
 // TestYieldStreamMatchesStudyInOrder: the streaming core must emit every
 // die exactly once in increasing order and aggregate to byte-identical
-// statistics as YieldStudyOn — across chunk boundaries and worker counts.
+// statistics as a consumer-less stream — across chunk boundaries and worker
+// counts.
 func TestYieldStreamMatchesStudyInOrder(t *testing.T) {
 	an, al, nom := streamFixture(t)
 	proc := tech.Default45nm()
@@ -45,7 +46,7 @@ func TestYieldStreamMatchesStudyInOrder(t *testing.T) {
 	}
 	opts := TuneOptions{GuardbandPct: 0.005}
 
-	want, err := YieldStudyOn(context.Background(), an, al, nom, proc, Default(), dies, 7, opts)
+	want, err := YieldStream(context.Background(), an, al, nom, proc, Default(), dies, 7, opts, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -105,7 +106,7 @@ func TestYieldStreamEmitErrorAborts(t *testing.T) {
 // observable: at die 3*yieldChunk the results of the first two chunks are
 // dead no matter where the worker window sits, so after a forced GC their
 // finalizers must have run. An implementation that accumulates results
-// (the pre-streaming YieldStudyOn shape) keeps every one of them live and
+// (the pre-streaming study's shape) keeps every one of them live and
 // fails the threshold.
 func TestYieldStreamReleasesResults(t *testing.T) {
 	if testing.Short() {

@@ -9,7 +9,6 @@ import (
 
 	"repro/internal/core"
 	"repro/internal/flow"
-	"repro/internal/place"
 	"repro/internal/sta"
 	"repro/internal/tech"
 )
@@ -30,21 +29,15 @@ type TuneOptions struct {
 	// SlackTolPct accepts dies within this fraction above nominal Dcrit
 	// (default 0.001).
 	SlackTolPct float64
-	// Workers bounds concurrent die tunings in YieldStudy (0 = one per
+	// Workers bounds concurrent die tunings in YieldStream (0 = one per
 	// CPU, 1 = sequential). Per-die seeds keep the statistics independent
 	// of the worker count.
 	Workers int
-	// Solver picks the allocation engine (nil = the registered two-pass
-	// heuristic). A shared Solver must be safe for concurrent Solve calls
-	// on distinct Instances — the core built-ins are — since YieldStudy
-	// hands the same value to every worker.
+	// Solver picks the allocation engine (nil = the two-pass heuristic).
+	// A shared Solver must be safe for concurrent Solve calls on distinct
+	// Instances — the core built-ins are — since YieldStream hands the
+	// same value to every worker.
 	Solver core.Solver
-	// BatchWidth sets how many dies YieldStream's population kernels
-	// process per batch (0 = defaultBatchWidth). Any width — including 1 —
-	// yields byte-identical statistics and per-die results: the batch
-	// kernels preserve every die's float operation sequence exactly, so
-	// the width is purely a locality knob.
-	BatchWidth int
 	// TargetCI opts into adaptive termination: when positive, YieldStream
 	// stops after the die whose accumulation brings the 95% Wilson score
 	// interval on the recovered-yield fraction (MetAfter/Dies) to a
@@ -59,6 +52,13 @@ type TuneOptions struct {
 	// keeps solves memoized per worker only. The cache must be built over
 	// the same Allocator the tuning runs on.
 	SolveCache *core.SolveCache
+
+	// batchWidth sets how many dies YieldStream's population kernels
+	// process per batch (0 = defaultDieBatch). Any width — including 1 —
+	// yields byte-identical statistics and per-die results: the batch
+	// kernels preserve every die's float operation sequence exactly, so
+	// the width is purely a locality knob, swept only by the tests.
+	batchWidth int
 }
 
 func (o *TuneOptions) setDefaults() {
@@ -107,7 +107,7 @@ type TuneResult struct {
 // (shared core.Allocator, private constraint and solver buffers) and a
 // LeakModel (shared tables via Clone, private per-die factors). Like the
 // Retimer it must not be used from more than one goroutine at a time;
-// YieldStudy creates one per worker via flow.MapWith.
+// YieldStream creates one per worker via flow.MapWith.
 type Tuner struct {
 	rt   *Retimer
 	al   *core.Allocator
@@ -226,34 +226,20 @@ func (tn *Tuner) leakModel(proc *tech.Process) *LeakModel {
 	return tn.leak
 }
 
-// Tune runs the paper's post-silicon flow on one die: sense the slowdown,
+// TuneOn runs the paper's post-silicon flow on one die: sense the slowdown,
 // allocate clustered FBB for it on the design-time (nominal) timing model,
 // verify against the die's actual variation, and escalate the target
 // slowdown if the non-uniform variation defeats the uniform-beta model.
-// It is the one-shot form of TuneOn; loops over many dies of one placement
-// should build an Analyzer and an Allocator once and a Tuner per worker.
-func Tune(pl *place.Placement, nom *sta.Timing, die *Die, proc *tech.Process, opts TuneOptions) (*TuneResult, error) {
-	an, err := sta.NewAnalyzer(pl, sta.Options{})
-	if err != nil {
-		return nil, err
-	}
-	al, err := core.NewAllocator(pl, nom)
-	if err != nil {
-		return nil, err
-	}
-	return TuneOn(NewTuner(NewRetimer(an), al), nom, die, proc, opts)
-}
-
-// TuneOn is Tune on a reusable Tuner: the die re-timings run through the
+//
+// The Tuner makes it cheap to repeat: the die re-timings run through the
 // shared Analyzer's Dcrit-only fast path into reused buffers (only the
 // critical delay of a die corner is ever read — the sensors walk the
 // *nominal* path set), each allocation attempt re-materializes the
-// clustering problem through the shared Allocator instead of a fresh
-// BuildProblem, and the per-die leakages are one exp pass plus
-// multiply-add sweeps through the Tuner's LeakModel — with the default
-// heuristic solver the whole escalation loop allocates almost nothing
-// beyond the solutions it reports (the ILP and local-search solvers buy
-// quality with their own working memory).
+// clustering problem through the shared Allocator, and the per-die
+// leakages are one exp pass plus multiply-add sweeps through the Tuner's
+// LeakModel — with the default heuristic solver the whole escalation loop
+// allocates almost nothing beyond the solutions it reports (the ILP and
+// local-search solvers buy quality with their own working memory).
 func TuneOn(tn *Tuner, nom *sta.Timing, die *Die, proc *tech.Process, opts TuneOptions) (*TuneResult, error) {
 	if nom == nil || nom.Light {
 		return nil, errors.New("variation: nominal timing must be a full (path-extracting) analysis")
@@ -471,40 +457,6 @@ func (y *YieldStats) YieldPct() (before, after float64) {
 		100 * float64(y.MetAfter) / float64(y.Dies)
 }
 
-// YieldStudy samples nDies from the model, tunes each, and aggregates the
-// yield and leakage statistics — the system-level experiment motivating the
-// paper ("bring the slow dies back to within the range of acceptable
-// specs"). It builds the reusable STA analyzer and allocation engine
-// itself; callers that already hold them (e.g. a flow.Prefix) should use
-// YieldStudyOn.
-func YieldStudy(ctx context.Context, pl *place.Placement, proc *tech.Process, m Model, nDies int, seed int64, opts TuneOptions) (*YieldStats, error) {
-	an, err := sta.NewAnalyzer(pl, sta.Options{})
-	if err != nil {
-		return nil, err
-	}
-	nom, err := an.Run(nil, nil)
-	if err != nil {
-		return nil, err
-	}
-	al, err := core.NewAllocator(pl, nom)
-	if err != nil {
-		return nil, err
-	}
-	return YieldStudyOn(ctx, an, al, nom, proc, m, nDies, seed, opts)
-}
-
-// YieldStudyOn runs the Monte-Carlo tuning study over a shared Analyzer,
-// a shared Allocator built on its nominal timing, and that timing. Dies are
-// tuned concurrently on a flow worker pool (opts.Workers bounds it; default
-// one per CPU), each worker carrying a private Tuner — a Retimer over the
-// shared Analyzer beside an allocation Instance over the shared Allocator;
-// cancelling ctx aborts the study. Per-die seeds are mixed from the die
-// index alone (DieSeed), so the aggregated statistics are identical at any
-// worker count. It is YieldStream with no per-die consumer.
-func YieldStudyOn(ctx context.Context, an *sta.Analyzer, al *core.Allocator, nom *sta.Timing, proc *tech.Process, m Model, nDies int, seed int64, opts TuneOptions) (*YieldStats, error) {
-	return YieldStream(ctx, an, al, nom, proc, m, nDies, seed, opts, nil)
-}
-
 // yieldChunk bounds how many per-die results a yield study holds at once:
 // dies are tuned in windows of this size and handed to the consumer (or the
 // statistics accumulator) before the next window starts, so a million-die
@@ -512,12 +464,12 @@ func YieldStudyOn(ctx context.Context, an *sta.Analyzer, al *core.Allocator, nom
 // TuneResult per die.
 const yieldChunk = 256
 
-// defaultBatchWidth is the die-batch width of YieldStream's population
-// kernels when TuneOptions.BatchWidth is unset. The batch amortizes per-gate
+// defaultDieBatch is the die-batch width of YieldStream's population
+// kernels when TuneOptions.batchWidth is unset. The batch amortizes per-gate
 // structure lookups across its lanes (sampler waves, STA topo walks), so
 // wider is better until the lane-contiguous working set outgrows the cache;
 // the width never changes results, only locality.
-const defaultBatchWidth = 16
+const defaultDieBatch = 16
 
 // wilsonZ is the two-sided 95% normal quantile used by the adaptive
 // termination interval.
@@ -536,16 +488,21 @@ func wilsonHalfWidth(n, successes int) float64 {
 	return wilsonZ / (1 + z2/fn) * math.Sqrt(p*(1-p)/fn+z2/(4*fn*fn))
 }
 
-// YieldStream is the streaming core of the yield study: it tunes nDies dies
-// in bounded windows (yieldChunk) over a worker pool and, when emit is
-// non-nil, invokes it once per die in strictly increasing die order with
+// YieldStream is the Monte-Carlo yield study — the system-level experiment
+// motivating the paper ("bring the slow dies back to within the range of
+// acceptable specs") — over a shared Analyzer, a shared Allocator built on
+// its nominal timing, and that timing. It samples nDies dies from the model
+// and tunes them in bounded windows (yieldChunk) over a worker pool
+// (opts.Workers bounds it), each worker carrying a private Tuner; per-die
+// seeds are mixed from the die index alone (DieSeed). When emit is
+// non-nil, it is invoked once per die in strictly increasing die order with
 // that die's TuneResult. The result passed to emit is owned by the callee
 // only for the duration of the call at the aggregate level — it is never
 // referenced again by YieldStream, so emit may retain it, but memory stays
 // bounded only if emit does not.
 //
 // Within a window, dies move through the population kernels in batches of
-// TuneOptions.BatchWidth: one SoA sample block per batch, one die-major
+// TuneOptions.batchWidth: one SoA sample block per batch, one die-major
 // batched re-timing, and one fused leakage sweep over the lanes that need no
 // bias — only dies that miss timing (or whose sensor demands bias) fall back
 // to the scalar allocate-verify-escalate tail. Every lane preserves the
@@ -554,7 +511,7 @@ func wilsonHalfWidth(n, successes int) float64 {
 // per-die results or the aggregate.
 //
 // The aggregated statistics are accumulated in die order and are therefore
-// byte-identical to YieldStudyOn's at any worker count or chunk size. When
+// byte-identical at any worker count or chunk size. When
 // opts.TargetCI is set, the stream additionally stops after the die whose
 // accumulation satisfies the interval — identical to a fixed-count study of
 // exactly that many dies. An emit error, a tuning error, or ctx cancellation
@@ -619,9 +576,9 @@ func YieldStreamResumable(ctx context.Context, an *sta.Analyzer, al *core.Alloca
 	pl := an.Placement()
 	opts.setDefaults()
 	limit := nom.DcritPS * (1 + opts.SlackTolPct)
-	width := opts.BatchWidth
+	width := opts.batchWidth
 	if width <= 0 {
-		width = defaultBatchWidth
+		width = defaultDieBatch
 	}
 	mon, isMonitor := opts.Sensor.(InSituMonitor)
 	memoizable := isMonitor && mon.ResolutionPct > 0

@@ -135,7 +135,7 @@ func TestDieTimingSlowerForPositiveShift(t *testing.T) {
 	if die.DVthV[0] <= 0.01 {
 		t.Fatalf("pinned seed %d no longer draws a slow die: dvth=%.4f", seed, die.DVthV[0])
 	}
-	tm, err := die.Timing(pl)
+	tm, err := die.timing(pl)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -154,7 +154,7 @@ func TestSensors(t *testing.T) {
 	}
 	m := Default()
 	die := m.Sample(pl, proc, 7)
-	dieTm, err := die.Timing(pl)
+	dieTm, err := die.timing(pl)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -186,7 +186,7 @@ func TestTuneSlowDie(t *testing.T) {
 	// Seed 4 draws a die about 3.5% slow, inside the 3-12% window.
 	const seed = 4
 	die := m.Sample(pl, proc, seed)
-	tm, err := die.Timing(pl)
+	tm, err := die.timing(pl)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -194,7 +194,7 @@ func TestTuneSlowDie(t *testing.T) {
 	if beta < 0.03 || beta > 0.12 {
 		t.Fatalf("pinned seed %d no longer draws a die in the 3-12%% slowdown window: beta=%.2f%%", seed, beta*100)
 	}
-	r, err := Tune(pl, nom, die, proc, TuneOptions{GuardbandPct: 0.005})
+	r, err := tune(pl, nom, die, proc, TuneOptions{GuardbandPct: 0.005})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -227,7 +227,7 @@ func TestTuneFastDieDoesNothing(t *testing.T) {
 	if die.DVthV[0] >= -0.01 {
 		t.Fatalf("pinned seed %d no longer draws a fast die: dvth=%.4f", seed, die.DVthV[0])
 	}
-	r, err := Tune(pl, nom, die, proc, TuneOptions{})
+	r, err := tune(pl, nom, die, proc, TuneOptions{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -242,7 +242,7 @@ func TestTuneFastDieDoesNothing(t *testing.T) {
 func TestYieldStudyImprovesYield(t *testing.T) {
 	pl := placed(t, "c1355")
 	proc := tech.Default45nm()
-	st, err := YieldStudy(context.Background(), pl, proc, Default(), 60, 1000, TuneOptions{GuardbandPct: 0.005})
+	st, err := yieldStudy(context.Background(), pl, proc, Default(), 60, 1000, TuneOptions{GuardbandPct: 0.005})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -282,12 +282,12 @@ func TestAging(t *testing.T) {
 	pl := placed(t, "c1355")
 	proc := tech.Default45nm()
 	die := Default().Sample(pl, proc, 3)
-	aged := die.Aged(proc, 10, 1)
-	fresh, err := die.Timing(pl)
+	aged := NewSampler(pl, proc, Default()).AgedInto(nil, die, 10, 1)
+	fresh, err := die.timing(pl)
 	if err != nil {
 		t.Fatal(err)
 	}
-	old, err := aged.Timing(pl)
+	old, err := aged.timing(pl)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -306,7 +306,7 @@ func TestTimingWithBiasCompensates(t *testing.T) {
 	if die.DVthV[0] < 0.015 {
 		t.Fatalf("pinned seed %d no longer draws a slow die: dvth=%.4f", seed, die.DVthV[0])
 	}
-	plain, err := die.Timing(pl)
+	plain, err := die.timing(pl)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -314,14 +314,14 @@ func TestTimingWithBiasCompensates(t *testing.T) {
 	for i := range full {
 		full[i] = pl.Lib.Grid.NumLevels() - 1
 	}
-	biased, err := die.TimingWithBias(pl, proc, full)
+	biased, err := die.timingWithBias(pl, proc, full)
 	if err != nil {
 		t.Fatal(err)
 	}
 	if biased.DcritPS >= plain.DcritPS {
 		t.Error("full FBB did not speed the die up")
 	}
-	if die.LeakageNW(pl, proc, full) <= die.LeakageNW(pl, proc, nil) {
+	if die.leakageNW(pl, proc, full) <= die.leakageNW(pl, proc, nil) {
 		t.Error("full FBB did not cost leakage")
 	}
 }

@@ -22,7 +22,7 @@ func TestYieldStudyParallelMatchesSequential(t *testing.T) {
 	}
 	run := func(workers int) *YieldStats {
 		t.Helper()
-		st, err := YieldStudy(context.Background(), pl, proc, Default(), dies, 77,
+		st, err := yieldStudy(context.Background(), pl, proc, Default(), dies, 77,
 			TuneOptions{GuardbandPct: 0.005, Workers: workers})
 		if err != nil {
 			t.Fatal(err)
@@ -38,8 +38,8 @@ func TestYieldStudyParallelMatchesSequential(t *testing.T) {
 	}
 }
 
-// TestTuneOnMatchesTune checks the Retimer-based tuning path against the
-// one-shot Tune for a population of dies sharing one Retimer (and thus one
+// TestTuneOnMatchesTune checks a reused Tuner against a fresh one-shot
+// tuning (tune) for a population of dies sharing one Retimer (and thus one
 // dirty Timing buffer).
 func TestTuneOnMatchesTune(t *testing.T) {
 	pl := placed(t, "c1355")
@@ -61,7 +61,7 @@ func TestTuneOnMatchesTune(t *testing.T) {
 	opts := TuneOptions{GuardbandPct: 0.005}
 	for i := 0; i < 10; i++ {
 		die := m.Sample(pl, proc, DieSeed(5, i))
-		want, err := Tune(pl, nom, die, proc, opts)
+		want, err := tune(pl, nom, die, proc, opts)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -91,8 +91,8 @@ func TestTuneOnMatchesTune(t *testing.T) {
 	}
 }
 
-// TestRecoverLeakageOnMatches checks the Retimer-based RBB scan against the
-// one-shot RecoverLeakage across a shared buffer.
+// TestRecoverLeakageOnMatches checks the RBB scan on a shared Retimer and
+// LeakModel against a fresh one-shot recovery (recoverLeakage) per die.
 func TestRecoverLeakageOnMatches(t *testing.T) {
 	pl := placed(t, "c1355")
 	proc := tech.Default45nm()
@@ -105,19 +105,20 @@ func TestRecoverLeakageOnMatches(t *testing.T) {
 		t.Fatal(err)
 	}
 	rt := NewRetimer(an)
+	lm := NewLeakModel(pl, proc)
 	m := Default()
 	for i := 0; i < 8; i++ {
 		die := m.Sample(pl, proc, DieSeed(31, i))
-		want, err := RecoverLeakage(pl, nom, die, proc, RBBOptions{})
+		want, err := recoverLeakage(pl, nom, die, proc, RBBOptions{})
 		if err != nil {
 			t.Fatal(err)
 		}
-		got, err := RecoverLeakageOn(rt, nom, die, proc, RBBOptions{})
+		got, err := RecoverLeakageWith(rt, lm, nom, die, RBBOptions{})
 		if err != nil {
 			t.Fatal(err)
 		}
 		if *want != *got {
-			t.Fatalf("die %d: RecoverLeakageOn diverged:\nwant %+v\ngot  %+v", i, want, got)
+			t.Fatalf("die %d: shared-buffer recovery diverged:\nwant %+v\ngot  %+v", i, want, got)
 		}
 	}
 }
@@ -161,7 +162,7 @@ func TestTuneResultConsistency(t *testing.T) {
 			}
 			continue
 		}
-		if got := die.LeakageNW(pl, proc, r.Solution.Assign); got != r.LeakAfterNW {
+		if got := die.leakageNW(pl, proc, r.Solution.Assign); got != r.LeakAfterNW {
 			t.Fatalf("die %d: LeakAfterNW %v does not match the reported solution's %v",
 				i, r.LeakAfterNW, got)
 		}
@@ -179,7 +180,7 @@ func TestTuneResultConsistency(t *testing.T) {
 	}
 }
 
-// TestYieldStudySolverSelection runs the study under each registered
+// TestYieldStudySolverSelection runs the study under each built-in
 // pluggable solver: statistics must stay deterministic across worker
 // counts, and the local solver must never leak more than the heuristic on
 // the tuned dies it compensates.
@@ -189,7 +190,7 @@ func TestYieldStudySolverSelection(t *testing.T) {
 	dies := 10
 	run := func(solver core.Solver, workers int) *YieldStats {
 		t.Helper()
-		st, err := YieldStudy(context.Background(), pl, proc, Default(), dies, 99,
+		st, err := yieldStudy(context.Background(), pl, proc, Default(), dies, 99,
 			TuneOptions{GuardbandPct: 0.005, Workers: workers, Solver: solver})
 		if err != nil {
 			t.Fatal(err)

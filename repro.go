@@ -218,9 +218,9 @@ func stageProblem(pfx *flow.Prefix, cfg Config) (*Result, error) {
 	}, nil
 }
 
-// NamedSolver resolves a registered solver name to a core.Solver value
-// ("" and "heuristic" resolve to nil, the built-in default), threading
-// ilpOpts into an "ilp" or "race" selection. The zero options are the
+// NamedSolver resolves a solver name (core.SolverNames) to a core.Solver
+// value ("" and "heuristic" resolve to nil, the built-in default),
+// threading ilpOpts into an "ilp" or "race" selection. The zero options are the
 // deterministic default: a node budget (ilp's 1<<20) instead of the
 // historical 30s wall clock. NamedSolver is the single solver resolution
 // path shared by the in-process drivers and the fbbd service, so the two
@@ -229,17 +229,7 @@ func NamedSolver(name string, ilpOpts core.ILPOptions) (core.Solver, error) {
 	if name == "" || name == "heuristic" {
 		return nil, nil
 	}
-	s, err := core.NewNamedSolver(name)
-	if err != nil {
-		return nil, err
-	}
-	switch sv := s.(type) {
-	case *core.ILPSolver:
-		sv.Opts = ilpOpts
-	case *core.RaceSolver:
-		sv.ILP = ilpOpts
-	}
-	return s, nil
+	return core.NewNamedSolver(name, ilpOpts)
 }
 
 // ilpOptions collects Config's exact-solve budgets (WarmStart unset).
