@@ -7,6 +7,7 @@ package repro
 
 import (
 	"fmt"
+	"math"
 	"testing"
 	"time"
 
@@ -481,6 +482,53 @@ func BenchmarkComponentLPSolve(b *testing.B) {
 		if _, err := lp.Solve(&model.Problem); err != nil {
 			b.Fatal(err)
 		}
+	}
+}
+
+// BenchmarkLPResolve times the LP a branch-and-bound child solves: c1355's
+// exact-allocation relaxation after one binary fix (the first fractional
+// column of the root optimum, fixed down). "warm" re-optimizes from the
+// root's optimal basis, "cold" runs the two-phase simplex from scratch;
+// each reports its pivots per LP, the warm count including the pivots
+// that install the basis.
+func BenchmarkLPResolve(b *testing.B) {
+	res, err := Run(Config{Benchmark: "c1355", Beta: 0.05, SkipLayout: true})
+	if err != nil {
+		b.Fatal(err)
+	}
+	model, _ := res.Problem.BuildILP()
+	root, err := lp.Solve(&model.Problem)
+	if err != nil || root.Status != lp.Optimal {
+		b.Fatalf("root relaxation: %v %v", root.Status, err)
+	}
+	fix := -1
+	for j, x := range root.X {
+		if math.Abs(x-math.Round(x)) > 1e-6 {
+			fix = j
+			break
+		}
+	}
+	if fix < 0 {
+		b.Fatal("root relaxation is integral: no child LP to re-solve")
+	}
+	child := model.Problem
+	child.U = append([]float64(nil), model.U...)
+	child.U[fix] = math.Floor(root.X[fix])
+	for _, c := range []struct {
+		label string
+		start *lp.Basis
+	}{{"warm", root.Basis}, {"cold", nil}} {
+		b.Run(c.label, func(b *testing.B) {
+			p := child
+			p.Start = c.start
+			var r lp.Result
+			for i := 0; i < b.N; i++ {
+				if r, err = lp.Solve(&p); err != nil {
+					b.Fatal(err)
+				}
+			}
+			b.ReportMetric(float64(r.Iters), "pivots/LP")
+		})
 	}
 }
 

@@ -1,11 +1,15 @@
 package core
 
 import (
+	"math"
 	"math/rand"
 	"testing"
 
 	"repro/internal/cell"
 	"repro/internal/gen"
+	"repro/internal/ilp"
+	"repro/internal/ilp/ilptest"
+	"repro/internal/lp"
 	"repro/internal/place"
 	"repro/internal/sta"
 )
@@ -210,38 +214,125 @@ func TestInfeasibleBetaRejected(t *testing.T) {
 	}
 }
 
-func TestILPOnSmallDesign(t *testing.T) {
-	for _, c := range []int{2, 3} {
-		p := problem(t, "c1355", 0.05, c)
-		single, err := p.singleBB()
-		if err != nil {
-			t.Fatal(err)
-		}
-		h, err := p.solveHeuristic()
-		if err != nil {
-			t.Fatal(err)
-		}
-		sol, res, err := p.SolveILP(ILPOptions{WarmStart: h})
-		if err != nil {
-			t.Fatal(err)
-		}
-		if sol == nil {
-			t.Fatalf("C=%d: ILP returned no solution (%v)", c, res.Status)
-		}
-		if !p.CheckTiming(sol.Assign) {
-			t.Errorf("C=%d: ILP violates timing", c)
-		}
-		if sol.Clusters > c {
-			t.Errorf("C=%d: ILP used %d clusters", c, sol.Clusters)
-		}
-		// Exactness: ILP at least as good as the heuristic.
-		if sol.ExtraLeakNW > h.ExtraLeakNW+1e-6 {
-			t.Errorf("C=%d: ILP %.2fnW worse than heuristic %.2fnW",
-				c, sol.ExtraLeakNW, h.ExtraLeakNW)
-		}
-		t.Logf("c1355 C=%d: ILP %.1f%% vs heuristic %.1f%% (nodes=%d proven=%v)",
-			c, Savings(single, sol), Savings(single, h), res.Nodes, sol.Proven)
+// certifyILP holds a proven-optimal exact solve to the certificate on the
+// un-presolved model of equations 1-5.
+func certifyILP(t *testing.T, p *Problem, res *ilp.Result) {
+	t.Helper()
+	if res.Status != ilp.OptimalProven {
+		return
 	}
+	m, _ := p.BuildILP()
+	if err := ilptest.CheckProven(&m.Problem, m.Integer, res.X, res.Obj, res.BoundObj); err != nil {
+		t.Fatal(err)
+	}
+}
+
+// TestILPOnSmallDesign solves the exact allocation of the Table 1 circuits
+// the paper's lp_solve handled, at beta 5% and C in {2, 3}: each must be
+// proven optimal under the default node budget, certified against the
+// un-presolved model, timing-clean, within its cluster cap and no worse
+// than the heuristic.
+func TestILPOnSmallDesign(t *testing.T) {
+	for _, name := range []string{"c1355", "c3540", "c5315"} {
+		for _, c := range []int{2, 3} {
+			p := problem(t, name, 0.05, c)
+			single, err := p.singleBB()
+			if err != nil {
+				t.Fatal(err)
+			}
+			h, err := p.solveHeuristic()
+			if err != nil {
+				t.Fatal(err)
+			}
+			sol, res, err := p.SolveILP(ILPOptions{WarmStart: h})
+			if err != nil {
+				t.Fatal(err)
+			}
+			if sol == nil || !sol.Proven {
+				t.Fatalf("%s C=%d: ILP not proven under the default node budget (%v)", name, c, res.Status)
+			}
+			certifyILP(t, p, res)
+			if !p.CheckTiming(sol.Assign) {
+				t.Errorf("%s C=%d: ILP violates timing", name, c)
+			}
+			if sol.Clusters > c {
+				t.Errorf("%s C=%d: ILP used %d clusters", name, c, sol.Clusters)
+			}
+			// Exactness: ILP at least as good as the heuristic.
+			if sol.ExtraLeakNW > h.ExtraLeakNW+1e-6 {
+				t.Errorf("%s C=%d: ILP %.2fnW worse than heuristic %.2fnW",
+					name, c, sol.ExtraLeakNW, h.ExtraLeakNW)
+			}
+			t.Logf("%s C=%d: ILP %.1f%% vs heuristic %.1f%% (nodes=%d)",
+				name, c, Savings(single, sol), Savings(single, h), res.Nodes)
+		}
+	}
+}
+
+// TestRelaxationWarmMatchesCold dives the exact-allocation relaxations of
+// the Table 1 circuits the way branch and bound does — fix a fractional
+// binary to a seeded side, re-solve — and holds every warm re-solve from
+// the parent's basis to a cold solve of the same LP: same status, same
+// objective, a feasible point.
+func TestRelaxationWarmMatchesCold(t *testing.T) {
+	rng := rand.New(rand.NewSource(3))
+	lps := 0
+	for _, name := range []string{"c1355", "c3540", "c5315"} {
+		m, _ := problem(t, name, 0.05, 3).BuildILP()
+		for dive := 0; dive < 4; dive++ {
+			p := m.Problem
+			p.L = make([]float64, len(m.C)) // BuildILP leaves L nil: all 0
+			p.U = append([]float64(nil), m.U...)
+			parent, err := lp.Solve(&p)
+			if err != nil || parent.Status != lp.Optimal {
+				t.Fatalf("%s root: %v %v", name, parent.Status, err)
+			}
+			for parent.Status == lp.Optimal {
+				var frac []int
+				for j, x := range parent.X {
+					if math.Abs(x-math.Round(x)) > 1e-6 {
+						frac = append(frac, j)
+					}
+				}
+				if len(frac) == 0 {
+					break
+				}
+				j := frac[rng.Intn(len(frac))]
+				if rng.Intn(2) == 0 {
+					p.U[j] = 0
+				} else {
+					p.L[j] = 1
+				}
+				p.Start = parent.Basis
+				warm, err := lp.Solve(&p)
+				if err != nil {
+					t.Fatal(err)
+				}
+				p.Start = nil
+				cold, err := lp.Solve(&p)
+				if err != nil {
+					t.Fatal(err)
+				}
+				lps++
+				if warm.Status != cold.Status {
+					t.Fatalf("%s dive %d: warm %v, cold %v", name, dive, warm.Status, cold.Status)
+				}
+				if warm.Status == lp.Optimal {
+					if math.Abs(warm.Obj-cold.Obj) > 1e-7*math.Max(1, math.Abs(cold.Obj)) {
+						t.Fatalf("%s dive %d: warm obj %.12g, cold %.12g", name, dive, warm.Obj, cold.Obj)
+					}
+					if err := ilptest.CheckProven(&p, make([]bool, len(p.C)), warm.X, warm.Obj, warm.Obj); err != nil {
+						t.Fatalf("%s dive %d: warm point: %v", name, dive, err)
+					}
+				}
+				parent = warm
+			}
+		}
+	}
+	if lps < 40 {
+		t.Fatalf("dives re-solved only %d LPs", lps)
+	}
+	t.Logf("%d warm re-solves matched cold", lps)
 }
 
 func TestILPMoreClustersNeverWorse(t *testing.T) {
@@ -255,14 +346,16 @@ func TestILPMoreClustersNeverWorse(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	s2, _, err := p2.SolveILP(ILPOptions{WarmStart: h2})
+	s2, r2, err := p2.SolveILP(ILPOptions{WarmStart: h2})
 	if err != nil {
 		t.Fatal(err)
 	}
-	s3, _, err := p3.SolveILP(ILPOptions{WarmStart: h3})
+	s3, r3, err := p3.SolveILP(ILPOptions{WarmStart: h3})
 	if err != nil {
 		t.Fatal(err)
 	}
+	certifyILP(t, p2, r2)
+	certifyILP(t, p3, r3)
 	if !s2.Proven || !s3.Proven {
 		t.Fatalf("c1355 at beta 10%% must solve to proven optimality under the default node budget (C=2 %v, C=3 %v)",
 			s2.Proven, s3.Proven)

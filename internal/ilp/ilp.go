@@ -1,16 +1,18 @@
 // Package ilp solves (mixed) integer linear programs by branch and bound
 // over the lp simplex. It provides what the paper used lp_solve for: the
 // exact FBB allocation. The engine runs a presolve pass (bound tightening,
-// variable fixing, redundant-row elimination), a pluggable branching rule
-// (pseudo-cost with reliability initialization, or most-fractional), and a
-// deterministically parallel tree search: worker goroutines speculatively
-// solve node relaxations ahead of a sequential commit order, so the result
-// — incumbent, objective, status, node count — is byte-identical at any
-// worker count. Like the paper's runs, where the ILP "did not converge in
-// a specified amount of time" on the two largest designs, the solver takes
-// a node budget (deterministic) or a caller-wired interrupt (wall-clock
-// opt-out) and reports the best incumbent with its proven bound when the
-// budget expires.
+// variable fixing, redundant-row elimination), pseudo-cost branching with
+// reliability initialization by strong branching, and a deterministically
+// parallel tree search: worker goroutines speculatively solve node
+// relaxations ahead of a sequential commit order, so the result —
+// incumbent, objective, status, node count — is byte-identical at any
+// worker count. The root relaxation is solved cold; every other node, and
+// every strong-branching probe, re-optimizes from its parent's optimal
+// basis with the lp dual simplex. Like the paper's runs, where the ILP
+// "did not converge in a specified amount of time" on the two largest
+// designs, the solver takes a node budget (deterministic) or a
+// caller-wired interrupt (wall-clock opt-out) and reports the best
+// incumbent with its proven bound when the budget expires.
 package ilp
 
 import (

@@ -269,6 +269,7 @@ func TestAgainstExhaustiveEnumeration(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
+		certify(t, m, got)
 		want, _, feasible := exhaustive(m)
 		if !feasible {
 			if got.Status != InfeasibleProven {

@@ -5,7 +5,8 @@ package ilp
 // ties — and is the only place incumbents, pseudo-costs, statuses and the
 // node count change. Worker goroutines speculate: they solve the LP
 // relaxations of still-pending nodes in the same order. A node's
-// relaxation depends only on its branching fixes, never on the incumbent,
+// relaxation depends only on its branching fixes and the optimal basis of
+// its parent (its warm start), never on the incumbent or on who solves it,
 // so a speculative result is exactly what the commit loop would have
 // computed inline; workers therefore change wall-clock time but no
 // observable output, and the search is byte-identical at any worker
@@ -25,7 +26,7 @@ import (
 )
 
 // specLeadMax bounds how many solved-but-uncommitted relaxations workers
-// may accumulate (each holds a solution vector).
+// may accumulate (each holds a solution vector and its basis, never a tableau).
 const specLeadMax = 256
 
 type nodeState uint8
@@ -48,6 +49,10 @@ type pnode struct {
 	seq   int64
 	bound float64 // parent relaxation objective: a lower bound here
 	fixes []bfix
+	// start is the parent's optimal basis, the warm start of this node's
+	// relaxation (nil at the root, which solves cold). Nodes hold bases,
+	// never tableaux.
+	start *lp.Basis
 	// state/res/err are guarded by search.mu until the commit loop has
 	// consumed the node.
 	state  nodeState
@@ -125,10 +130,12 @@ func (s *search) publishCutoff(v float64) { s.cutoffBits.Store(math.Float64bits(
 func (s *search) readCutoff() float64     { return math.Float64frombits(s.cutoffBits.Load()) }
 
 // solveNode solves a node's LP relaxation: the reduced model with the
-// node's branching fixes applied to fresh bound arrays. Pure function of
-// the node, callable from any goroutine.
+// node's branching fixes applied to fresh bound arrays, re-optimized from
+// the parent's basis. Pure function of (start basis, fixes), callable from
+// any goroutine.
 func (s *search) solveNode(nd *pnode) (lp.Result, error) {
 	sub := s.m.Problem
+	sub.Start = nd.start
 	L := append([]float64(nil), s.m.L...)
 	U := append([]float64(nil), s.m.U...)
 	for _, f := range nd.fixes {
@@ -316,14 +323,14 @@ func (s *search) strongBranch(nd *pnode, cols []int, r *lp.Result) []strongOut {
 		hi := lo + 1
 		effL, effU := s.boundsAt(nd, c)
 		if lo >= effL-1e-9 {
-			child := &pnode{fixes: appendBfix(nd.fixes, bfix{j: c, upper: true, v: lo})}
+			child := &pnode{fixes: appendBfix(nd.fixes, bfix{j: c, upper: true, v: lo}), start: r.Basis}
 			tasks = append(tasks, func() {
 				o.down, o.downErr = s.solveNode(child)
 				o.downSolved = o.downErr == nil
 			})
 		}
 		if hi <= effU+1e-9 {
-			child := &pnode{fixes: appendBfix(nd.fixes, bfix{j: c, upper: false, v: hi})}
+			child := &pnode{fixes: appendBfix(nd.fixes, bfix{j: c, upper: false, v: hi}), start: r.Basis}
 			tasks = append(tasks, func() {
 				o.up, o.upErr = s.solveNode(child)
 				o.upSolved = o.upErr == nil
@@ -474,6 +481,7 @@ func (s *search) run(res *Result, nodeLimit int, interrupt func() bool) error {
 				seq:       s.nextSeq,
 				bound:     r.Obj,
 				fixes:     appendBfix(nd.fixes, f),
+				start:     r.Basis,
 				hasParent: true,
 				bvar:      pk.col,
 				bdir:      dir,

@@ -1,7 +1,11 @@
 // Package lp is a dense linear-programming solver: a two-phase primal
-// simplex with bounded variables and Bland anti-cycling. It plays the role
-// of lp_solve in the paper's flow, as the relaxation engine under the
-// branch-and-bound ILP solver.
+// simplex with bounded variables and Bland anti-cycling, plus a bounded
+// dual simplex that re-optimizes from a given basis after bound changes.
+// It plays the role of lp_solve in the paper's flow, as the relaxation
+// engine under the branch-and-bound ILP solver: the root relaxation is
+// solved cold, and every node and strong-branching probe re-optimizes from
+// its parent's optimal basis (Problem.Start), which differs from the
+// child's LP by one bound.
 //
 // Problems are stated as
 //
@@ -18,6 +22,7 @@ import (
 	"errors"
 	"fmt"
 	"math"
+	"sync"
 )
 
 // Rel is a constraint relation.
@@ -64,6 +69,24 @@ type Problem struct {
 	B   []float64
 	L   []float64
 	U   []float64
+	// Start, when non-nil, is the basis to re-optimize from — typically
+	// Result.Basis of the same rows under looser bounds. Solve then runs
+	// the dual simplex from it, and falls back to the cold two-phase
+	// solve when the basis is singular or not dual feasible for this
+	// problem. nil means a cold solve.
+	Start *Basis
+}
+
+// Basis is a simplex basis in row-logical form. It names columns of
+// [A | I]: a structural j < n, or n+i for the logical of row i (its slack
+// for <=, surplus for >=, a [0,0] logical for =). Unlike the cold
+// tableau's slack/artificial layout, which depends on the sign of b - A·L,
+// this form stays meaningful when bounds change.
+type Basis struct {
+	// Basic holds the m basic columns, one per row, in any order.
+	Basic []int
+	// AtUpper marks the structurals that are nonbasic at their upper bound.
+	AtUpper []bool
 }
 
 // Result is a solved LP.
@@ -73,14 +96,22 @@ type Result struct {
 	X []float64
 	// Obj is C.X.
 	Obj float64
-	// Iters counts simplex pivots across both phases.
+	// Iters counts pivots: both simplex phases of a cold solve; for a
+	// warm solve, the pivots that install the start basis plus the dual
+	// and primal simplex pivots (and those of any cold fallback).
 	Iters int
+	// Basis is an optimal basis (valid when Status == Optimal), for use as
+	// a later Problem.Start.
+	Basis *Basis
 }
 
 const (
 	tolPivot = 1e-9
 	tolCost  = 1e-9
 	tolFeas  = 1e-7
+	// tolDual bounds the wrong-sign reduced cost a start basis may carry
+	// and still count as dual feasible; the primal clean-up removes it.
+	tolDual = 1e-7
 )
 
 // Validate checks dimensional consistency.
@@ -103,6 +134,17 @@ func (p *Problem) Validate() error {
 	for j := 0; j < n; j++ {
 		if p.lower(j) > p.upper(j)+tolFeas {
 			return fmt.Errorf("lp: variable %d has empty bound interval [%g, %g]", j, p.lower(j), p.upper(j))
+		}
+	}
+	if st := p.Start; st != nil {
+		if len(st.Basic) != len(p.A) || len(st.AtUpper) != n {
+			return fmt.Errorf("lp: start basis has %d basics and %d bound flags, want %d and %d",
+				len(st.Basic), len(st.AtUpper), len(p.A), n)
+		}
+		for _, c := range st.Basic {
+			if c < 0 || c >= n+len(p.A) {
+				return fmt.Errorf("lp: start basis column %d out of range", c)
+			}
 		}
 	}
 	return nil
@@ -131,13 +173,16 @@ const (
 )
 
 // simplex holds the working state. All variables are shifted so their lower
-// bound is zero; column order is [structural | slacks | artificials].
+// bound is zero. A cold tableau's columns are [structural | slacks |
+// artificials]; a warm one's are [structural | one logical per row].
 type simplex struct {
 	m, n    int // rows, structural count
 	nCols   int
 	T       [][]float64 // m x nCols tableau (B^-1 A)
 	xB      []float64   // basic variable values
 	basis   []int       // basic column per row
+	rowOf   []int       // row of each non-structural column c, at rowOf[c-n]
+	slab    []float64   // a warm tableau's backing array (from slabs)
 	stat    []varStatus
 	ub      []float64 // shifted upper bounds per column
 	d       []float64 // reduced costs
@@ -151,7 +196,7 @@ type simplex struct {
 	stall   int
 }
 
-// Solve optimizes the problem.
+// Solve optimizes the problem: from p.Start when it is usable, else cold.
 func Solve(p *Problem) (Result, error) {
 	if err := p.Validate(); err != nil {
 		return Result{}, err
@@ -162,6 +207,7 @@ func Solve(p *Problem) (Result, error) {
 	// Trivial case: no constraints — each variable goes to its cheap bound.
 	if m == 0 {
 		x := make([]float64, n)
+		bs := &Basis{AtUpper: make([]bool, n)}
 		obj := 0.0
 		for j := 0; j < n; j++ {
 			switch {
@@ -172,18 +218,36 @@ func Solve(p *Problem) (Result, error) {
 					return Result{Status: Unbounded}, nil
 				}
 				x[j] = p.upper(j)
+				bs.AtUpper[j] = true
 			default:
 				x[j] = p.lower(j)
 			}
 			obj += p.C[j] * x[j]
 		}
-		return Result{Status: Optimal, X: x, Obj: obj}, nil
+		return Result{Status: Optimal, X: x, Obj: obj, Basis: bs}, nil
 	}
 
+	spent := 0
+	if p.Start != nil {
+		r, ok := resolve(p)
+		if ok {
+			return r, nil
+		}
+		spent = r.Iters
+	}
+	r, err := solveCold(p)
+	r.Iters += spent
+	return r, err
+}
+
+// solveCold runs the two-phase primal simplex from the slack/artificial
+// basis.
+func solveCold(p *Problem) (Result, error) {
 	s, err := newSimplex(p)
 	if err != nil {
 		return Result{}, err
 	}
+	m := s.m
 
 	// Phase 1: minimize the artificial sum.
 	if s.artBase < s.nCols {
@@ -207,8 +271,44 @@ func Solve(p *Problem) (Result, error) {
 	if st != Optimal {
 		return Result{Status: st, Iters: s.iters}, nil
 	}
+	return s.result(p), nil
+}
 
-	// Recover the solution in original coordinates.
+// resolve re-optimizes from p.Start: it installs the basis in a tableau
+// with one logical per row and, if the basis is dual feasible, runs the
+// bounded dual simplex to primal feasibility and a primal clean-up. ok is
+// false when the basis is singular or not dual feasible (or a simplex
+// limit is hit); the caller then solves cold. r.Iters reports the pivots
+// spent either way. The outcome is a pure function of the problem.
+func resolve(p *Problem) (r Result, ok bool) {
+	s := newWarm(p)
+	slab := s.slab
+	defer slabs.Put(&slab)
+	if !s.install(p.Start) {
+		return Result{Iters: s.iters}, false
+	}
+	s.setPhase2Cost(p)
+	if !s.dualFeasible() {
+		return Result{Iters: s.iters}, false
+	}
+	limit := maxIters(s.m, s.nCols)
+	switch s.dual(limit) {
+	case Infeasible:
+		return Result{Status: Infeasible, Iters: s.iters}, true
+	case Optimal:
+	default:
+		return Result{Iters: s.iters}, false
+	}
+	if s.run(limit) != Optimal {
+		return Result{Iters: s.iters}, false
+	}
+	return s.result(p), true
+}
+
+// result recovers the solution in original coordinates and the optimal
+// basis in row-logical form.
+func (s *simplex) result(p *Problem) Result {
+	n := s.n
 	x := make([]float64, n)
 	for j := 0; j < n; j++ {
 		x[j] = p.lower(j) + s.value(j)
@@ -217,7 +317,19 @@ func Solve(p *Problem) (Result, error) {
 	for j := 0; j < n; j++ {
 		obj += p.C[j] * x[j]
 	}
-	return Result{Status: Optimal, X: x, Obj: obj, Iters: s.iters}, nil
+	bs := &Basis{Basic: make([]int, s.m), AtUpper: make([]bool, n)}
+	for i, c := range s.basis {
+		if c >= n {
+			// A cold solve's slack or (zero-level) artificial of row r
+			// is a multiple of e_r: either stands for row r's logical.
+			c = n + s.rowOf[c-n]
+		}
+		bs.Basic[i] = c
+	}
+	for j := 0; j < n; j++ {
+		bs.AtUpper[j] = s.stat[j] == atUpper
+	}
+	return Result{Status: Optimal, X: x, Obj: obj, Iters: s.iters, Basis: bs}
 }
 
 func maxIters(m, n int) int { return 200*(m+n) + 20000 }
@@ -283,6 +395,7 @@ func newSimplex(p *Problem) (*simplex, error) {
 		ub:      make([]float64, nCols),
 		d:       make([]float64, nCols),
 		cost:    make([]float64, nCols),
+		rowOf:   make([]int, nCols-n),
 		artBase: n + nSlack,
 	}
 	for j := 0; j < n; j++ {
@@ -304,16 +417,20 @@ func newSimplex(p *Problem) (*simplex, error) {
 		case LE:
 			t[slack] = 1
 			s.basis[i] = slack
+			s.rowOf[slack-n] = i
 			slack++
 		case GE:
 			t[slack] = -1
+			s.rowOf[slack-n] = i
 			slack++
 			t[art] = 1
 			s.basis[i] = art
+			s.rowOf[art-n] = i
 			art++
 		case EQ:
 			t[art] = 1
 			s.basis[i] = art
+			s.rowOf[art-n] = i
 			art++
 		}
 		s.T[i] = t
@@ -323,6 +440,245 @@ func newSimplex(p *Problem) (*simplex, error) {
 		s.stat[s.basis[i]] = isBasic
 	}
 	return s, nil
+}
+
+// newWarm builds the tableau of a warm solve: one logical per row — a
+// slack for <=, a surplus for >=, a [0,0] logical for = — with >= rows
+// negated so that every logical column is +e_i and the all-logical basis
+// is the identity. x is shifted by L, so a row's basic value starts at its
+// shifted rhs, whatever its sign.
+func newWarm(p *Problem) *simplex {
+	n := len(p.C)
+	m := len(p.A)
+	nCols := n + m
+	s := &simplex{
+		m:       m,
+		n:       n,
+		nCols:   nCols,
+		T:       make([][]float64, m),
+		xB:      make([]float64, m),
+		basis:   make([]int, m),
+		rowOf:   make([]int, m),
+		stat:    make([]varStatus, nCols),
+		ub:      make([]float64, nCols),
+		d:       make([]float64, nCols),
+		cost:    make([]float64, nCols),
+		artBase: nCols,
+	}
+	lo := make([]float64, n)
+	for j := 0; j < n; j++ {
+		lo[j] = p.lower(j)
+		s.ub[j] = p.upper(j) - lo[j]
+	}
+	s.slab = getSlab(m * nCols)
+	for i := 0; i < m; i++ {
+		t := s.slab[i*nCols : (i+1)*nCols : (i+1)*nCols]
+		copy(t, p.A[i])
+		clear(t[n:])
+		b := p.B[i]
+		for j, l := range lo {
+			if l != 0 {
+				b -= t[j] * l
+			}
+		}
+		if p.Rel[i] == GE {
+			for j := 0; j < n; j++ {
+				t[j] = -t[j]
+			}
+			b = -b
+		}
+		t[n+i] = 1
+		if p.Rel[i] == EQ {
+			s.ub[n+i] = 0
+		} else {
+			s.ub[n+i] = math.Inf(1)
+		}
+		s.T[i] = t
+		s.xB[i] = b
+		s.basis[i] = n + i
+		s.rowOf[i] = i
+		s.stat[n+i] = isBasic
+	}
+	return s
+}
+
+// slabs recycles warm tableaux (*[]float64): a branch-and-bound search
+// re-solves thousands of same-shaped LPs, and the tableau is the one large
+// allocation of each. Every reuse overwrites the whole tableau.
+var slabs sync.Pool
+
+func getSlab(k int) []float64 {
+	if b, ok := slabs.Get().(*[]float64); ok && cap(*b) >= k {
+		return (*b)[:k]
+	}
+	return make([]float64, k)
+}
+
+// install pivots the start basis into the all-logical tableau, structurals
+// in ascending column order, each into the row of a leaving logical with
+// the largest pivot magnitude (partial pivoting). It then places the
+// nonbasic structurals flagged AtUpper at their upper bounds. It reports
+// false when the basis is singular here.
+func (s *simplex) install(st *Basis) bool {
+	target := make([]bool, s.nCols)
+	for _, c := range st.Basic {
+		if target[c] {
+			return false // a repeated column
+		}
+		target[c] = true
+	}
+	// Only live columns and the structurals still to enter are read again.
+	s.act = s.act[:0]
+	for j := 0; j < s.nCols; j++ {
+		if s.ub[j] > 0 || target[j] {
+			s.act = append(s.act, j)
+		}
+	}
+	for q := 0; q < s.n; q++ {
+		if !target[q] {
+			continue
+		}
+		r, best := -1, tolPivot
+		for i := 0; i < s.m; i++ {
+			if target[s.basis[i]] {
+				continue
+			}
+			if a := math.Abs(s.T[i][q]); a > best {
+				r, best = i, a
+			}
+		}
+		if r < 0 {
+			return false
+		}
+		xr := s.xB[r] / s.T[r][q]
+		for i := 0; i < s.m; i++ {
+			if i != r {
+				s.xB[i] -= s.T[i][q] * xr
+			}
+		}
+		s.xB[r] = xr
+		s.stat[s.basis[r]] = atLower
+		s.stat[q] = isBasic
+		s.basis[r] = q
+		s.pivot(r, q)
+		s.iters++
+	}
+	for j := 0; j < s.n; j++ {
+		if s.stat[j] == isBasic || !st.AtUpper[j] || math.IsInf(s.ub[j], 1) {
+			continue
+		}
+		s.stat[j] = atUpper
+		if u := s.ub[j]; u != 0 {
+			for i := 0; i < s.m; i++ {
+				s.xB[i] -= s.T[i][j] * u
+			}
+		}
+	}
+	return true
+}
+
+// dualFeasible reports whether every live nonbasic column's reduced cost
+// has the sign of optimality for the bound it sits at.
+func (s *simplex) dualFeasible() bool {
+	for _, j := range s.act {
+		switch s.stat[j] {
+		case atLower:
+			if s.d[j] < -tolDual {
+				return false
+			}
+		case atUpper:
+			if s.d[j] > tolDual {
+				return false
+			}
+		}
+	}
+	return true
+}
+
+// dual runs the bounded dual simplex from a dual-feasible basis until the
+// basic values are within their bounds (Optimal), a row proves the
+// problem infeasible (Infeasible), or the limit hits (IterLimit). The
+// leaving row is the most infeasible one; the entering column passes a
+// Harris two-pass ratio test and, among near-ties, has the largest pivot.
+func (s *simplex) dual(limit int) Status {
+	for iter := 0; iter < limit; iter++ {
+		r, worst, target, sgn := -1, tolFeas, 0.0, 0.0
+		for i := 0; i < s.m; i++ {
+			x := s.xB[i]
+			if v := -x; v > worst {
+				r, worst, target, sgn = i, v, 0, 1
+			}
+			if u := s.ub[s.basis[i]]; x-u > worst {
+				r, worst, target, sgn = i, x-u, u, -1
+			}
+		}
+		if r < 0 {
+			return Optimal
+		}
+		// Row r must rise to its lower bound (sgn +1) or fall to its
+		// upper bound (sgn -1). A nonbasic at its lower bound helps when
+		// it can increase, i.e. sgn*T[r][j] < 0; one at its upper bound
+		// when sgn*T[r][j] > 0.
+		row := s.T[r]
+		bound := math.Inf(1)
+		for _, j := range s.act {
+			a, dj, ok := s.dualCand(j, sgn*row[j])
+			if ok {
+				if t := (dj + tolCost) / a; t < bound {
+					bound = t
+				}
+			}
+		}
+		if math.IsInf(bound, 1) {
+			return Infeasible
+		}
+		q, bestA := -1, 0.0
+		for _, j := range s.act {
+			a, dj, ok := s.dualCand(j, sgn*row[j])
+			if ok && dj/a <= bound && a > bestA {
+				q, bestA = j, a
+			}
+		}
+
+		theta := (s.xB[r] - target) / row[q]
+		for i := 0; i < s.m; i++ {
+			s.xB[i] -= s.T[i][q] * theta
+		}
+		enter := theta
+		if s.stat[q] == atUpper {
+			enter += s.ub[q]
+		}
+		out := s.basis[r]
+		if sgn < 0 {
+			s.stat[out] = atUpper
+		} else {
+			s.stat[out] = atLower
+		}
+		s.stat[q] = isBasic
+		s.basis[r] = q
+		s.xB[r] = enter
+		s.pivot(r, q)
+		s.iters++
+	}
+	return IterLimit
+}
+
+// dualCand reports whether live column j can enter against a leaving row
+// whose sign-adjusted entry is y, with the pivot magnitude a and the
+// column's dual slack dj (its reduced cost's distance from changing sign,
+// floored at zero).
+func (s *simplex) dualCand(j int, y float64) (a, dj float64, ok bool) {
+	switch s.stat[j] {
+	case atLower:
+		if y < -tolPivot {
+			return -y, math.Max(s.d[j], 0), true
+		}
+	case atUpper:
+		if y > tolPivot {
+			return y, math.Max(-s.d[j], 0), true
+		}
+	}
+	return 0, 0, false
 }
 
 // value returns the current value of column j in shifted coordinates.
@@ -530,9 +886,14 @@ func (s *simplex) step(q int) Status {
 	s.stat[q] = isBasic
 	s.basis[leave] = q
 	s.xB[leave] = newVal
+	s.pivot(leave, q)
+	return Optimal
+}
 
-	// Gaussian elimination on the tableau and the reduced-cost row, over
-	// the active columns only (frozen columns are never read again).
+// pivot makes column q basic in row leave: Gaussian elimination on the
+// tableau and the reduced-cost row, over the active columns only (frozen
+// columns are never read again). Basic values are the caller's.
+func (s *simplex) pivot(leave, q int) {
 	piv := s.T[leave][q]
 	row := s.T[leave]
 	inv := 1 / piv
@@ -566,5 +927,4 @@ func (s *simplex) step(q int) Status {
 		}
 		s.d[q] = 0
 	}
-	return Optimal
 }
