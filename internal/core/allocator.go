@@ -1,11 +1,11 @@
 package core
 
 import (
-	"bytes"
 	"errors"
 	"math"
+	"math/bits"
+	"slices"
 	"sort"
-	"strconv"
 
 	"repro/internal/cell"
 	"repro/internal/ilp"
@@ -26,7 +26,9 @@ import (
 // re-materialization with ~zero allocations. At is pinned bit for bit to a
 // one-shot reference builder (buildProblem in the package tests: per-path
 // maps, a sort, and "%.6f" signature strings), which the comments below call
-// the reference.
+// the reference. At never formats a float: its merge signature is an exact
+// integer image of the reference's string (appendFixed6), equal for two
+// delta vectors exactly when their "%.6f" renderings are.
 //
 // An Allocator is immutable after construction and therefore safe for
 // concurrent use: all per-call state lives in the caller-provided Instance
@@ -61,17 +63,13 @@ type Allocator struct {
 	// delay reduction bias level j buys on gate g.
 	omdf []float64
 
-	// maxContribs bounds the RowContrib arena any At can need: the row
-	// groups of every class exemplar.
-	maxContribs int
-
 	// groups partitions the paths into structural-duplicate classes: two
 	// paths with the same row list and, per row, the same sequence of
 	// (gate delay, delay factors) produce bit-identical delta vectors at
 	// every beta, so their constraints merge at every beta. At processes
 	// one exemplar per class, which is where the batched path beats the
-	// reference: the duplicate delta accumulations and — decisively —
-	// the duplicate "%.6f" signature formatting disappear.
+	// reference: the duplicate delta accumulations and signatures
+	// disappear.
 	groups []allocGroup
 }
 
@@ -83,9 +81,9 @@ type allocGroup struct {
 	// members lists the class's paths, ascending.
 	members []int32
 	// candidate marks classes whose beta-0 delta vector lies within
-	// decimal-formatting distance of another class over the same rows:
-	// only these can ever merge across classes under the reference's
-	// "%.6f" signature, so only these pay for key formatting in At.
+	// mergeEpsPS of another class over the same rows: only these can ever
+	// merge across classes under the reference's "%.6f" signature, so
+	// only these build an integer merge key in At.
 	candidate bool
 }
 
@@ -218,7 +216,6 @@ func (a *Allocator) buildGroups() {
 				exemplar: int32(pi),
 				members:  []int32{int32(pi)},
 			})
-			a.maxContribs += int(a.pathStart[pi+1] - a.pathStart[pi])
 		}
 	}
 }
@@ -249,19 +246,19 @@ func (a *Allocator) samePathStructure(pa, pb int32, gateClass []int32) bool {
 	return true
 }
 
-// mergeEpsPS bounds when two bit-different delta vectors could still format
-// to the same "%.6f" signature at some beta. Two values share a rounded
-// 6-decimal representation only when they differ by less than 1e-6 (plus
-// ulps); the per-level delta difference between two classes scales as
-// (1+beta) times their beta-0 difference (up to summation ulps, orders of
-// magnitude below this threshold), so a beta-0 gap of 2e-6 on any level
-// rules the merge out for every beta >= 0.
+// mergeEpsPS bounds when two bit-different delta vectors could still share
+// a merge key (equivalently, the reference's "%.6f" signature) at some beta.
+// Two values round to the same multiple of 1e-6 only when they differ by
+// less than 1e-6 (plus ulps); the per-level delta difference between two
+// classes scales as (1+beta) times their beta-0 difference (up to summation
+// ulps, orders of magnitude below this threshold), so a beta-0 gap of 2e-6
+// on any level rules the merge out for every beta >= 0.
 const mergeEpsPS = 2e-6
 
 // markMergeCandidates computes each class's beta-0 delta vector and flags
-// the classes that could ever format-merge with another class: same row
-// list, every level's delta within mergeEpsPS. Everything else skips
-// signature work in At entirely.
+// the classes that could ever key-merge with another class: same row list,
+// every level's delta within mergeEpsPS. Everything else skips signature
+// work in At entirely.
 func (a *Allocator) markMergeCandidates() {
 	nG := len(a.groups)
 	if nG < 2 {
@@ -331,7 +328,7 @@ func (a *Allocator) sameRowList(pa, pb int32) bool {
 	return true
 }
 
-// deltaWithin reports whether every formatted level (j >= 1, the signature's
+// deltaWithin reports whether every keyed level (j >= 1, the signature's
 // range) of two beta-0 delta vectors is within mergeEpsPS.
 func deltaWithin(ba, bb []float64, p int) bool {
 	for i := 0; i < len(ba); i += p {
@@ -353,6 +350,86 @@ func sortInts(s []int) {
 			s[j], s[j-1] = s[j-1], s[j]
 		}
 	}
+}
+
+// Merge keys. The reference merges two constraints when their "%.6f"
+// renderings agree. strconv renders a finite v as its sign ("-" whenever the
+// sign bit is set, so -0 and negatives that round to zero print
+// "-0.000000") followed by q = |v|·10⁶ rounded half to even from the exact
+// binary value; every NaN prints "NaN" and ±Inf print "+Inf"/"-Inf". A
+// level's key is therefore one word, sign<<63 | q, for |v| < 2^43 (q then
+// stays below 2^43·10⁶ < 2^63 - 1). Wider magnitudes, ±Inf and NaN are
+// escaped: the word sign<<63 | fixed6Escape followed by the bits of |v|
+// (a canonical NaN with the sign dropped). A float at or above 2^43 is
+// spaced more than 1e-6 from its neighbours, so distinct wide floats render
+// distinct strings, and escaped and inline values never collide. Keys of a
+// fixed level count are prefix-free, so word-wise equality of two
+// signatures is exactly byte equality of the reference's strings.
+const (
+	fixed6Sign   = 1 << 63
+	fixed6Escape = 1<<63 - 1
+	fixed6Wide   = (1023 + 43) << 52 // Float64bits(2^43)
+	fixed6NaN    = 0x7ff8000000000000
+	fixed6Inf    = 0x7ff0000000000000
+)
+
+// appendFixed6 appends v's merge-key words to dst (see the Merge keys
+// comment).
+func appendFixed6(dst []uint64, v float64) []uint64 {
+	b := math.Float64bits(v)
+	sign, mag := b&fixed6Sign, b&^fixed6Sign
+	if mag < fixed6Wide {
+		return append(dst, sign|fixed6(mag))
+	}
+	if mag > fixed6Inf {
+		sign, mag = 0, fixed6NaN
+	}
+	return append(dst, sign|fixed6Escape, mag)
+}
+
+// fixed6 returns q = x·10⁶ rounded half to even, exactly, where mag holds
+// the bits of a non-negative float x below 2^43. With x = m·2^-s (s >= 10
+// in that range) the 128-bit product P = m·10⁶ is exact; q is P >> s
+// rounded on the bit below it (the half) and any bits under that (the
+// sticky part).
+func fixed6(mag uint64) uint64 {
+	exp := mag >> 52
+	m := mag & (1<<52 - 1)
+	if exp == 0 {
+		exp = 1 // subnormal: no implicit bit
+	} else {
+		m |= 1 << 52
+	}
+	s := 1075 - exp
+	if s > 74 {
+		return 0 // P < 2^73 <= 2^(s-1): below half a unit
+	}
+	hi, lo := bits.Mul64(m, 1e6)
+	k := s - 1 // shift to the half bit, 9 <= k <= 73
+	var t uint64
+	var sticky bool
+	if k < 64 {
+		t = hi<<(64-k) | lo>>k
+		sticky = lo&(1<<k-1) != 0
+	} else {
+		t = hi >> (k - 64)
+		sticky = lo != 0 || hi&(1<<(k-64)-1) != 0
+	}
+	q := t >> 1
+	if t&1 != 0 && (sticky || q&1 != 0) {
+		q++
+	}
+	return q
+}
+
+// hashKey mixes a merge key word by word.
+func hashKey(key []uint64) uint64 {
+	h := uint64(len(key))
+	for _, w := range key {
+		h = (h ^ w) * 0x9e3779b97f4a7c15
+		h ^= h >> 29
+	}
+	return h
 }
 
 // Placement returns the placement the Allocator was built for.
@@ -393,10 +470,10 @@ type Instance struct {
 	rowConsStart []int32
 	rowConsRefs  []rowConRef
 
-	// Signature-merge scratch: an open-addressed chain over the key byte
-	// arena replaces the reference's map[string] so repeat materializations
+	// Signature-merge scratch: chained buckets over the merge-key word
+	// arena replace the reference's map[string] so repeat materializations
 	// allocate nothing.
-	keyArena []byte
+	keyArena []uint64
 	keyOff   []int32
 	keyLen   []int32
 	buckets  []int32
@@ -446,22 +523,6 @@ func (a *Allocator) At(opts Options, buf *Instance) (*Instance, error) {
 	p.RowLeakNW = a.rowLeak
 	p.RawViolations = 0
 
-	cons := inst.constraints[:0]
-	contribs := inst.contribArena
-	if cap(contribs) < a.maxContribs {
-		contribs = make([]RowContrib, 0, a.maxContribs)
-	}
-	contribs = contribs[:0]
-	deltas := inst.deltaArena
-	if cap(deltas) < a.maxContribs*a.p {
-		deltas = make([]float64, 0, a.maxContribs*a.p)
-	}
-	deltas = deltas[:0]
-	keys := inst.keyArena[:0]
-	keyOff := inst.keyOff[:0]
-	keyLen := inst.keyLen[:0]
-	bnext := inst.bnext[:0]
-
 	nb := 1
 	for nb < 2*len(a.groups) {
 		nb <<= 1
@@ -484,8 +545,10 @@ func (a *Allocator) At(opts Options, buf *Instance) (*Instance, error) {
 	// registering one strictly tightened the requirement — compared on
 	// the computed requirement floats, exactly as the reference's merge
 	// does (two ulp-apart delays can round to equal requirements, and the
-	// tie must then keep the first member's PathIdx).
+	// tie must then keep the first member's PathIdx). The violating
+	// exemplars' row groups size the contrib and delta arenas.
 	viol := inst.viol[:0]
+	nContribs := 0
 	for gi := range a.groups {
 		g := &a.groups[gi]
 		firstPi := int32(-1)
@@ -509,6 +572,7 @@ func (a *Allocator) At(opts Options, buf *Instance) (*Instance, error) {
 			continue
 		}
 		p.RawViolations += count
+		nContribs += int(a.pathStart[g.exemplar+1] - a.pathStart[g.exemplar])
 		viol = append(viol, violGroup{
 			group:   int32(gi),
 			firstPi: firstPi,
@@ -520,8 +584,26 @@ func (a *Allocator) At(opts Options, buf *Instance) (*Instance, error) {
 	inst.violSort.v = viol
 	sort.Sort(&inst.violSort)
 
+	// Constraints alias the arenas, so they are sized before pass 2 and
+	// never grow inside it.
+	cons := inst.constraints[:0]
+	contribs := inst.contribArena
+	if cap(contribs) < nContribs {
+		contribs = make([]RowContrib, 0, nContribs)
+	}
+	contribs = contribs[:0]
+	deltas := inst.deltaArena
+	if cap(deltas) < nContribs*a.p {
+		deltas = make([]float64, 0, nContribs*a.p)
+	}
+	deltas = deltas[:0]
+	keys := inst.keyArena[:0]
+	keyOff := inst.keyOff[:0]
+	keyLen := inst.keyLen[:0]
+	bnext := inst.bnext[:0]
+
 	// Pass 2: materialize one constraint per violating class in
-	// registration order, format-merging only the candidate classes
+	// registration order, key-merging only the candidate classes
 	// (everything else is provably unique at any beta).
 	for vi := range viol {
 		vg := &viol[vi]
@@ -536,10 +618,9 @@ func (a *Allocator) At(opts Options, buf *Instance) (*Instance, error) {
 		for gi := a.pathStart[pi]; gi < a.pathStart[pi+1]; gi++ {
 			row := int(a.groupRow[gi])
 			dpos := len(deltas)
-			for j := 0; j < a.p; j++ {
-				deltas = append(deltas, 0)
-			}
-			dv := deltas[dpos : dpos+a.p]
+			deltas = deltas[:dpos+a.p]
+			dv := deltas[dpos:]
+			clear(dv)
 			for _, gg := range a.pathGates[a.groupGateStart[gi]:a.groupGateStart[gi+1]] {
 				degraded := a.tm.GateDelayPS[gg] * onePlusBeta
 				omdf := a.omdf[int(gg)*a.p : (int(gg)+1)*a.p]
@@ -549,31 +630,22 @@ func (a *Allocator) At(opts Options, buf *Instance) (*Instance, error) {
 			}
 			contribs = append(contribs, RowContrib{Row: row, DeltaPS: dv})
 			if g.candidate {
-				// The signature covers every level (the reference's
-				// "%d:" + "%.6f," format, byte for byte): constraints
-				// may only merge when their whole coefficient vectors
-				// agree.
-				keys = strconv.AppendInt(keys, int64(row), 10)
-				keys = append(keys, ':')
+				// The key covers the row and every level j >= 1, the
+				// reference's "%d:" + "%.6f," signature: constraints may
+				// only merge when their whole coefficient vectors agree.
+				keys = append(keys, uint64(row))
 				for j := 1; j < a.p; j++ {
-					keys = strconv.AppendFloat(keys, dv[j], 'f', 6, 64)
-					keys = append(keys, ',')
+					keys = appendFixed6(keys, dv[j])
 				}
-				keys = append(keys, ';')
 			}
 		}
 
 		if g.candidate {
 			key := keys[kstart:]
-			h := uint64(14695981039346656037)
-			for _, b := range key {
-				h ^= uint64(b)
-				h *= 1099511628211
-			}
-			slot := h & uint64(nb-1)
+			slot := hashKey(key) & uint64(nb-1)
 			dup := int32(-1)
 			for j := buckets[slot]; j >= 0; j = bnext[j] {
-				if bytes.Equal(key, keys[keyOff[j]:keyOff[j]+keyLen[j]]) {
+				if slices.Equal(key, keys[keyOff[j]:keyOff[j]+keyLen[j]]) {
 					dup = j
 					break
 				}

@@ -412,6 +412,25 @@ func TestLocalSolverInvariants(t *testing.T) {
 	}
 }
 
+// TestAtRejectsNonFiniteBeta: a NaN or infinite beta is an error, not a
+// problem whose requirements are all NaN or +Inf.
+func TestAtRejectsNonFiniteBeta(t *testing.T) {
+	pl, tm := randomTimed(t, cell.Default(), 1)
+	al, err := NewAllocator(pl, tm)
+	if err != nil {
+		t.Fatal(err)
+	}
+	inst, err := al.At(Options{Beta: 0.05}, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, beta := range []float64{math.NaN(), math.Inf(1), math.Inf(-1), 0, -0.05} {
+		if _, err := al.At(Options{Beta: beta}, inst); err == nil {
+			t.Errorf("beta %v accepted", beta)
+		}
+	}
+}
+
 // FuzzAllocatorSolveAt fuzzes the differential property: for any (design
 // seed, option seed), a dirty reused Instance must materialize and solve
 // bit-identically to a fresh buildProblem + solveHeuristic.
@@ -432,9 +451,6 @@ func FuzzAllocatorSolveAt(f *testing.F) {
 		var inst *Instance
 		for round := 0; round < 3; round++ {
 			opts := randomOpts(rng)
-			if math.IsNaN(opts.Beta) {
-				t.Skip("degenerate beta")
-			}
 			want, err := buildProblem(pl, tm, opts)
 			if err != nil {
 				t.Fatal(err)

@@ -10,20 +10,20 @@ import (
 )
 
 // benchTimed generates, places and times a named benchmark.
-func benchTimed(b *testing.B, name string) (*place.Placement, *sta.Timing) {
-	b.Helper()
+func benchTimed(tb testing.TB, name string) (*place.Placement, *sta.Timing) {
+	tb.Helper()
 	l := cell.Default()
 	d, err := gen.Build(name, l)
 	if err != nil {
-		b.Fatal(err)
+		tb.Fatal(err)
 	}
 	pl, err := place.Place(d, l, place.Options{})
 	if err != nil {
-		b.Fatal(err)
+		tb.Fatal(err)
 	}
 	tm, err := sta.Analyze(pl, sta.Options{})
 	if err != nil {
-		b.Fatal(err)
+		tb.Fatal(err)
 	}
 	return pl, tm
 }
@@ -99,6 +99,42 @@ func BenchmarkAllocatorMaterialize(b *testing.B) {
 		if _, err := al.At(opts, inst); err != nil {
 			b.Fatal(err)
 		}
+	}
+}
+
+// TestAllocatorAtAllocFree is the allocation budget of materialization on
+// the design-time grid (beta 3/5/8/10% x C 2/3/4 on c5315 and industrial1):
+// after one warm pass, a reused Instance materializes every point with zero
+// allocations. It pins the arena sizing from pass 1's violating classes.
+func TestAllocatorAtAllocFree(t *testing.T) {
+	var als []*Allocator
+	for _, name := range []string{"c5315", "industrial1"} {
+		pl, tm := benchTimed(t, name)
+		al, err := NewAllocator(pl, tm)
+		if err != nil {
+			t.Fatal(err)
+		}
+		als = append(als, al)
+	}
+	var inst *Instance
+	grid := func() {
+		for _, al := range als {
+			for _, beta := range []float64{0.03, 0.05, 0.08, 0.10} {
+				for c := 2; c <= 4; c++ {
+					var err error
+					if inst, err = al.At(Options{Beta: beta, MaxClusters: c}, inst); err != nil {
+						t.Fatal(err)
+					}
+					if inst.Prob.NumConstraints() == 0 {
+						t.Fatalf("beta %g C %d: no constraints to materialize", beta, c)
+					}
+				}
+			}
+		}
+	}
+	grid()
+	if n := testing.AllocsPerRun(5, grid); n != 0 {
+		t.Errorf("At over the design grid: %v allocs per pass, want 0", n)
 	}
 }
 

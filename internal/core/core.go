@@ -26,6 +26,7 @@ package core
 
 import (
 	"errors"
+	"math"
 	"sort"
 
 	"repro/internal/place"
@@ -104,7 +105,7 @@ type rowConRef struct {
 
 // Options configure problem construction.
 type Options struct {
-	// Beta is the slowdown coefficient; must be positive.
+	// Beta is the slowdown coefficient; must be positive and finite.
 	Beta float64
 	// MaxClusters is C (default 3, the paper's layout limit).
 	MaxClusters int
@@ -116,8 +117,8 @@ type Options struct {
 // normalize applies the defaults and validates the options (Allocator.At
 // and the SolveCache key both go through it).
 func (o *Options) normalize() error {
-	if o.Beta <= 0 {
-		return errors.New("core: beta must be positive")
+	if !(o.Beta > 0) || math.IsInf(o.Beta, 1) {
+		return errors.New("core: beta must be positive and finite")
 	}
 	if o.MaxClusters == 0 {
 		o.MaxClusters = 3

@@ -11,7 +11,9 @@ import (
 	"testing"
 	"time"
 
+	"repro/internal/cell"
 	"repro/internal/flow"
+	"repro/internal/gen"
 	"repro/internal/netlist"
 )
 
@@ -728,4 +730,58 @@ func ExampleDesignKey() {
 	d, _ := netlist.ParseBench(strings.NewReader(chainBench(4)), "chain", lib)
 	fmt.Println(len(DesignKey(d, 0)))
 	// Output: 64
+}
+
+// TestServerMemoizesBuiltinDesignKeys: a built-in's prefix-cache key is
+// hashed once per (benchmark, forceRows), equals DesignKey of a freshly
+// generated netlist, and is the key prefixErr caches the prefix under;
+// upload keys are hashed per request and never retained.
+func TestServerMemoizesBuiltinDesignKeys(t *testing.T) {
+	s := New(Options{})
+	refs := []DesignRef{{Benchmark: "c1355"}, {Benchmark: "c1355", ForceRows: 12}, {Benchmark: "c3540"}}
+	for _, ref := range refs {
+		d, err := gen.Build(ref.Benchmark, cell.Default())
+		if err != nil {
+			t.Fatal(err)
+		}
+		want := DesignKey(d, ref.ForceRows)
+		for i := 0; i < 2; i++ {
+			got, err := s.design(&ref)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if key := s.designKey(&ref, got); key != want {
+				t.Fatalf("%s#%d: memoized key %s, want %s", ref.Benchmark, ref.ForceRows, key, want)
+			}
+		}
+	}
+	if n := s.keys.Len(); n != len(refs) {
+		t.Fatalf("%d memoized keys, want %d", n, len(refs))
+	}
+
+	ref := refs[0]
+	if _, err := s.prefixErr(context.Background(), &ref); err != nil {
+		t.Fatal(err)
+	}
+	d, err := gen.Build(ref.Benchmark, cell.Default())
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := s.cache.Get(context.Background(), DesignKey(d, 0), func() (*flow.Prefix, error) {
+		return nil, errors.New("prefix was cached under a different key")
+	}); err != nil {
+		t.Fatal(err)
+	}
+
+	up := DesignRef{Netlist: chainBench(8)}
+	ud, err := s.design(&up)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if key := s.designKey(&up, ud); key != DesignKey(ud, 0) {
+		t.Fatalf("upload key %s, want %s", key, DesignKey(ud, 0))
+	}
+	if n := s.keys.Len(); n != len(refs) {
+		t.Fatalf("upload key retained: %d memoized keys, want %d", n, len(refs))
+	}
 }

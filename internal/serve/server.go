@@ -30,6 +30,7 @@ import (
 	"fmt"
 	"net/http"
 	"runtime"
+	"strconv"
 	"strings"
 	"sync"
 	"sync/atomic"
@@ -122,6 +123,9 @@ type Server struct {
 	// designs memoizes the built-in benchmark designs; uploaded netlists
 	// are parsed per request (client-controlled, so never retained).
 	designs flow.Cache[*netlist.Design]
+	// keys memoizes the built-in designs' DesignKeys (benchmark#forceRows
+	// → key); upload keys are hashed per request.
+	keys flow.Cache[string]
 
 	workSem  chan struct{} // executing requests, cap Workers
 	queueSem chan struct{} // waiting requests, cap Queue
@@ -278,6 +282,19 @@ func (s *Server) design(ref *DesignRef) (*netlist.Design, error) {
 	})
 }
 
+// designKey returns the prefix-cache key of a resolved DesignRef: memoized
+// per built-in benchmark and row count (the same "name#forceRows" memo the
+// router keeps), hashed per request for client-controlled uploads.
+func (s *Server) designKey(ref *DesignRef, d *netlist.Design) string {
+	if ref.Netlist != "" {
+		return DesignKey(d, ref.ForceRows)
+	}
+	key, _ := s.keys.Do(ref.Benchmark+"#"+strconv.Itoa(ref.ForceRows), func() (string, error) {
+		return DesignKey(d, ref.ForceRows), nil
+	})
+	return key
+}
+
 // prefixErr resolves a DesignRef to its cached flow.Prefix, building and
 // inserting it (coalesced) on miss, and enforcing the MaxGates admission
 // cap on every path. Errors are raw — the table1 handler annotates them
@@ -290,8 +307,7 @@ func (s *Server) prefixErr(ctx context.Context, ref *DesignRef) (*flow.Prefix, e
 	if n := d.NumGates(); n > s.opts.MaxGates {
 		return nil, fmt.Errorf("design too large: %d gates > limit %d", n, s.opts.MaxGates)
 	}
-	key := DesignKey(d, ref.ForceRows)
-	return s.cache.Get(ctx, key, func() (*flow.Prefix, error) {
+	return s.cache.Get(ctx, s.designKey(ref, d), func() (*flow.Prefix, error) {
 		return flow.PrefixFor(d, s.opts.Library, ref.ForceRows)
 	})
 }

@@ -66,6 +66,20 @@ func TestRunValidation(t *testing.T) {
 	}
 }
 
+// TestRunWithRejectsNonFiniteBeta: a NaN or infinite beta fails the run
+// instead of allocating against NaN or +Inf requirements.
+func TestRunWithRejectsNonFiniteBeta(t *testing.T) {
+	pfx, err := stagePrefix(nil, Config{Benchmark: "c1355"})
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, beta := range []float64{math.NaN(), math.Inf(1), math.Inf(-1)} {
+		if res, err := RunWith(pfx, Config{Beta: beta}); err == nil {
+			t.Errorf("beta %v accepted: %d constraints", beta, res.Constraints)
+		}
+	}
+}
+
 func TestRunCustomDesign(t *testing.T) {
 	lib := Library()
 	b := netlist.NewBuilder("custom", lib)
