@@ -412,7 +412,11 @@ func BenchmarkComponentSTA(b *testing.B) {
 	}
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		if _, err := sta.Analyze(pl, sta.Options{}); err != nil {
+		an, err := sta.NewAnalyzer(pl, sta.Options{})
+		if err != nil {
+			b.Fatal(err)
+		}
+		if _, err := an.Run(nil, nil); err != nil {
 			b.Fatal(err)
 		}
 	}

@@ -55,7 +55,7 @@ func randomTimed(tb testing.TB, lib *cell.Library, seed int64) (*place.Placement
 	if err != nil {
 		tb.Fatal(err)
 	}
-	tm, err := sta.Analyze(pl, sta.Options{})
+	tm, err := nominalTiming(pl)
 	if err != nil {
 		tb.Fatal(err)
 	}

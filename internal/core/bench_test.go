@@ -21,7 +21,7 @@ func benchTimed(tb testing.TB, name string) (*place.Placement, *sta.Timing) {
 	if err != nil {
 		tb.Fatal(err)
 	}
-	tm, err := sta.Analyze(pl, sta.Options{})
+	tm, err := nominalTiming(pl)
 	if err != nil {
 		tb.Fatal(err)
 	}

@@ -10,7 +10,6 @@ import (
 	"repro/internal/netlist"
 	"repro/internal/place"
 	"repro/internal/power"
-	"repro/internal/sta"
 	"repro/internal/tech"
 )
 
@@ -57,7 +56,7 @@ func tinyProblem(t *testing.T, rng *rand.Rand) *Problem {
 	if err != nil {
 		t.Fatal(err)
 	}
-	tm, err := sta.Analyze(pl, sta.Options{})
+	tm, err := nominalTiming(pl)
 	if err != nil {
 		t.Fatal(err)
 	}

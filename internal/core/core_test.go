@@ -14,6 +14,15 @@ import (
 	"repro/internal/sta"
 )
 
+// nominalTiming times pl at the nominal corner with a fresh Analyzer.
+func nominalTiming(pl *place.Placement) (*sta.Timing, error) {
+	an, err := sta.NewAnalyzer(pl, sta.Options{})
+	if err != nil {
+		return nil, err
+	}
+	return an.Run(nil, nil)
+}
+
 func problem(t *testing.T, name string, beta float64, c int) *Problem {
 	t.Helper()
 	l := cell.Default()
@@ -25,7 +34,7 @@ func problem(t *testing.T, name string, beta float64, c int) *Problem {
 	if err != nil {
 		t.Fatal(err)
 	}
-	tm, err := sta.Analyze(pl, sta.Options{})
+	tm, err := nominalTiming(pl)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -393,7 +402,7 @@ func TestBuildProblemValidation(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	tm, err := sta.Analyze(pl, sta.Options{})
+	tm, err := nominalTiming(pl)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -27,7 +27,11 @@ func solved(t *testing.T, name string, beta float64, c int) fixture {
 	if err != nil {
 		t.Fatal(err)
 	}
-	tm, err := sta.Analyze(pl, sta.Options{})
+	an, err := sta.NewAnalyzer(pl, sta.Options{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	tm, err := an.Run(nil, nil)
 	if err != nil {
 		t.Fatal(err)
 	}

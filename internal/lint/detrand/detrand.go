@@ -1,8 +1,12 @@
 // Package detrand forbids nondeterminism sources in the repro kernel
 // packages. The reproduction's core guarantee — a study's population is
-// byte-identical at any worker count, scheduling order, or machine — holds
-// only if the deterministic kernels never read the wall clock and never
-// draw from an entropy-seeded or globally shared random stream. Seeds must
+// byte-identical at any worker count or scheduling order, and on any
+// machine of one GOARCH whose math.Exp takes the same path — holds only if
+// the deterministic kernels never read the wall clock and never draw from
+// an entropy-seeded or globally shared random stream. (It is not one set
+// of bytes on every machine: on amd64, math.Exp has an FMA path and an
+// SSE2 path, chosen by the CPU and GODEBUG, that round about 7.8% of the
+// sampler's exponents differently.) Seeds must
 // be derived per die via variation.DieSeed / splitmix64 (or threaded in
 // from a caller who did), and every generator must be a private
 // rand.New(rand.NewSource(seed)).

@@ -131,7 +131,7 @@ func (a *Analyzer) NumGates() int { return len(a.nomDelayPS) }
 
 // Run re-times the placement with each gate's delay multiplied by scale
 // (nil = nominal, length must equal NumGates otherwise), producing the same
-// Timing that Analyze would.
+// Timing as a fresh Analyzer's Run into a fresh buffer.
 //
 // Buffer contract: when buf is non-nil its slices — including the returned
 // Paths and their Gates chains — are reused, so the previous Run's results

@@ -115,7 +115,7 @@ func requireTimingEqual(tb testing.TB, want, got *Timing, label string) {
 // TestAnalyzerMatchesAnalyze is the differential harness of the batched STA
 // path: across random placements and random DelayScale vectors, a shared
 // Analyzer re-running into one dirty, continually reused Timing buffer must
-// reproduce a from-scratch Analyze exactly.
+// reproduce a from-scratch one-shot run (oneShot) exactly.
 func TestAnalyzerMatchesAnalyze(t *testing.T) {
 	rng := rand.New(rand.NewSource(99))
 	buf := &Timing{} // deliberately reused — and dirtied — across everything
@@ -130,7 +130,7 @@ func TestAnalyzerMatchesAnalyze(t *testing.T) {
 		}
 		for round := 0; round < 4; round++ {
 			scale := randomScale(rng, len(pl.Design.Gates))
-			want, err := Analyze(pl, Options{DelayScale: scale})
+			want, err := oneShot(pl, scale)
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -172,7 +172,7 @@ func TestAnalyzerMatchesAnalyzeOnBenchmarks(t *testing.T) {
 		}
 		for round := 0; round < 3; round++ {
 			scale := randomScale(rng, len(d.Gates))
-			want, err := Analyze(pl, Options{DelayScale: scale})
+			want, err := oneShot(pl, scale)
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -223,7 +223,7 @@ func TestAnalyzerBufferCrossesDesigns(t *testing.T) {
 			t.Fatal(err)
 		}
 		scale := randomScale(rng, len(pl.Design.Gates))
-		want, err := Analyze(pl, Options{DelayScale: scale})
+		want, err := oneShot(pl, scale)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -237,7 +237,7 @@ func TestAnalyzerBufferCrossesDesigns(t *testing.T) {
 
 // FuzzAnalyzerRun fuzzes the differential property: for any (design seed,
 // scale seed, scale spread), a reused-buffer Analyzer.Run equals a fresh
-// Analyze.
+// one-shot run.
 func FuzzAnalyzerRun(f *testing.F) {
 	f.Add(int64(1), int64(1), 0.3)
 	f.Add(int64(2), int64(7), 0.0)
@@ -267,7 +267,7 @@ func FuzzAnalyzerRun(f *testing.F) {
 					scale[i] = 1 - spread + 2*spread*rng.Float64()
 				}
 			}
-			want, err := Analyze(pl, Options{DelayScale: scale})
+			want, err := oneShot(pl, scale)
 			if err != nil {
 				t.Fatal(err)
 			}

@@ -10,7 +10,7 @@ import (
 )
 
 // The pair below is the tentpole measurement of the batched Monte-Carlo
-// path: Analyze rebuilds the timing graph for every DelayScale vector,
+// path: a one-shot run rebuilds the timing graph for every DelayScale vector,
 // Analyzer.Run re-times through precomputed topology into reused buffers.
 
 func benchPlacement(b *testing.B, name string) *place.Placement {
@@ -42,7 +42,7 @@ func benchmarkAnalyze(b *testing.B, name string) {
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		if _, err := Analyze(pl, Options{DelayScale: scale}); err != nil {
+		if _, err := oneShot(pl, scale); err != nil {
 			b.Fatal(err)
 		}
 	}

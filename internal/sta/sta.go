@@ -80,17 +80,6 @@ type Timing struct {
 	bnext              []int32
 }
 
-// Analyze runs STA on a placed design. It is the one-shot form of Analyzer:
-// callers re-timing the same placement under many DelayScale vectors should
-// construct one Analyzer and call Run with a reused buffer instead.
-func Analyze(pl *place.Placement, opts Options) (*Timing, error) {
-	an, err := NewAnalyzer(pl, opts)
-	if err != nil {
-		return nil, err
-	}
-	return an.Run(opts.DelayScale, nil)
-}
-
 // CriticalPath returns the longest extracted path.
 func (tm *Timing) CriticalPath() Path {
 	if len(tm.Paths) == 0 {

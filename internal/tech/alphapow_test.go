@@ -1,16 +1,20 @@
 package tech
 
 import (
+	"encoding/binary"
 	"math"
 	"math/rand"
 	"testing"
+
+	"repro/internal/exactmath"
 )
 
-// requirePowBits fails unless alphaPow(x, a) has exactly math.Pow's bits.
+// requirePowBits fails unless exactmath.AlphaPow(x, a) has exactly
+// math.Pow's bits.
 func requirePowBits(tb testing.TB, x, a float64) {
 	tb.Helper()
-	if got, want := alphaPow(x, a), math.Pow(x, a); math.Float64bits(got) != math.Float64bits(want) {
-		tb.Fatalf("alphaPow(%v, %v) = %v (%#016x), math.Pow = %v (%#016x)",
+	if got, want := exactmath.AlphaPow(x, a), math.Pow(x, a); math.Float64bits(got) != math.Float64bits(want) {
+		tb.Fatalf("AlphaPow(%v, %v) = %v (%#016x), math.Pow = %v (%#016x)",
 			x, a, got, math.Float64bits(got), want, math.Float64bits(want))
 	}
 }
@@ -51,21 +55,78 @@ func TestAlphaPowMatchesPow(t *testing.T) {
 		requirePowBits(t, rng.Float64()*14, 1+rng.Float64())
 	}
 
-	// DelayFactorDVth is the law written out with math.Pow on the default
-	// process, over and beyond the 0.05 V overdrive clamp.
+	// DelayFactorDVth and DelayFactorDVthInto are the law written out with
+	// math.Pow on the default process, over and beyond the 0.05 V
+	// overdrive clamp.
 	p := Default45nm()
+	row := make([]float64, 100000)
+	for i := range row {
+		row[i] = (rng.Float64()*2 - 1) * 0.7
+	}
+	requireDelayRow(t, p, row)
+}
+
+// powDelayLaw is DelayFactorDVth written out with math.Pow. The clamp is
+// an if rather than max, which would replace a NaN shift's payload.
+func powDelayLaw(p *Process, dvth float64) float64 {
 	over0 := p.VddV - p.Vth0V + p.DIBLOverdriveV
-	for i := 0; i < 100000; i++ {
-		dvth := (rng.Float64()*2 - 1) * 0.7
-		over := max(over0-dvth, 0.05)
-		want := math.Pow(over0/over, p.Alpha) * p.tempDelayFactor()
-		if got := p.DelayFactorDVth(dvth); math.Float64bits(got) != math.Float64bits(want) {
-			t.Fatalf("DelayFactorDVth(%v) = %v, law with math.Pow = %v", dvth, got, want)
+	over := over0 - dvth
+	if over < 0.05 {
+		over = 0.05
+	}
+	return math.Pow(over0/over, p.Alpha) * p.tempDelayFactor()
+}
+
+// requireDelayRow fails unless DelayFactorDVth and DelayFactorDVthInto
+// (out of place and in place) have exactly powDelayLaw's bits on dvth.
+func requireDelayRow(tb testing.TB, p *Process, dvth []float64) {
+	tb.Helper()
+	out := make([]float64, len(dvth))
+	p.DelayFactorDVthInto(out, dvth)
+	in := append([]float64(nil), dvth...)
+	p.DelayFactorDVthInto(in, in)
+	for i, v := range dvth {
+		want := math.Float64bits(powDelayLaw(p, v))
+		if got := p.DelayFactorDVth(v); math.Float64bits(got) != want {
+			tb.Fatalf("DelayFactorDVth(%v) = %v, law with math.Pow = %v", v, got, powDelayLaw(p, v))
+		}
+		if math.Float64bits(out[i]) != want || math.Float64bits(in[i]) != want {
+			tb.Fatalf("DelayFactorDVthInto element %d (%v) = %v / in place %v, law with math.Pow = %v",
+				i, v, out[i], in[i], powDelayLaw(p, v))
 		}
 	}
 }
 
-// FuzzAlphaPow: alphaPow agrees with math.Pow bit for bit on any (x, a).
+// FuzzDelayFactorDVthInto: the row form of the delay law agrees with the
+// law written out with math.Pow on any short row of shifts and any supply,
+// exponent and temperature. The row is up to 16 float64s, eight
+// little-endian bytes each.
+func FuzzDelayFactorDVthInto(f *testing.F) {
+	row := func(xs ...float64) []byte {
+		var b []byte
+		for _, x := range xs {
+			b = binary.LittleEndian.AppendUint64(b, math.Float64bits(x))
+		}
+		return b
+	}
+	f.Add(0.95, 1.3, 300.0, row())
+	f.Add(0.95, 1.3, 300.0, row(0.01, -0.02, 0.03, 0.6, 0.65, math.NaN(), -0.1, 0.2, 0.05))
+	f.Add(1.1, 1.5, 370.0, row(0.01, -0.02, 0.03, math.Inf(-1), 0.65, 0.7, -0.1, 0.2))
+	f.Add(0x1p500, 1.2, 300.0, row(0x1p500, 0.1, 0.2, 0.3, 0.4))
+	f.Add(0.95, 1.7, 300.0, row(0.01, -0.02, 0.03, 0.04))
+	f.Fuzz(func(t *testing.T, vdd, alpha, tempK float64, data []byte) {
+		p := Default45nm()
+		p.VddV, p.Alpha, p.TempK = vdd, alpha, tempK
+		var dvth []float64
+		for len(data) >= 8 && len(dvth) < 16 {
+			dvth = append(dvth, math.Float64frombits(binary.LittleEndian.Uint64(data)))
+			data = data[8:]
+		}
+		requireDelayRow(t, p, dvth)
+	})
+}
+
+// FuzzAlphaPow: exactmath.AlphaPow agrees with math.Pow bit for bit on any (x, a).
 // If a Go release changes math.pow, this (and the test above) is where it
 // shows.
 func FuzzAlphaPow(f *testing.F) {

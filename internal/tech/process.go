@@ -15,7 +15,8 @@ package tech
 import (
 	"fmt"
 	"math"
-	"runtime"
+
+	"repro/internal/exactmath"
 )
 
 // Physical constants.
@@ -162,30 +163,28 @@ func (p *Process) DelayFactor(vbs float64) float64 {
 // voltage shift dvth (e.g. from process variation or aging). Positive shifts
 // slow the gate down.
 func (p *Process) DelayFactorDVth(dvth float64) float64 {
-	over0 := p.VddV - p.Vth0V + p.DIBLOverdriveV
-	over := over0 - dvth
-	if over < 0.05 {
-		over = 0.05 // near/below-threshold clamp: extremely slow, not infinite
-	}
-	f := alphaPow(over0/over, p.Alpha)
-	return f * p.tempDelayFactor()
+	return p.delayLaw().At(dvth)
 }
 
-// alphaPow returns math.Pow(x, a) bit for bit, minus Pow's special-case
-// scaffolding on the alpha-power law's domain. For 1 < a <= 1.5, Go's pow
-// splits a into yi = 1 and yf = a-1 (exact by Sterbenz) and returns
-// Ldexp(Exp(yf*Log(x))*frac(x), exp(x)); scaling by a power of two commutes
-// with rounding while the result stays normal, so Exp(yf*Log(x))*x is the
-// same bits. The guard keeps x, and so x^a, far from subnormals and
-// overflow; every other input (NaN and ±Inf included) takes math.Pow. The
-// equality is with Go's pure-Go pow, which math.Pow is on every
-// architecture but s390x; there math.Pow is assembly, so s390x always
-// calls it.
-func alphaPow(x, a float64) float64 {
-	if runtime.GOARCH != "s390x" && a > 1 && a <= 1.5 && x >= 0x1p-500 && x <= 0x1p500 {
-		return math.Exp((a-1)*math.Log(x)) * x
+// DelayFactorDVthInto stores DelayFactorDVth(dvth[i]) into dst[i], bit for
+// bit; dst may alias dvth and must be at least as long. It is the per-die
+// form the sampler and re-timer use: one call converts a whole row of
+// threshold shifts, through exactmath's vector kernel where the CPU has one.
+func (p *Process) DelayFactorDVthInto(dst, dvth []float64) {
+	p.delayLaw().Into(dst, dvth)
+}
+
+// delayLaw is the alpha-power delay law of the process: (over0/over)^Alpha
+// with over = over0 - dvth clamped at 0.05 V (near/below threshold:
+// extremely slow, not infinite), times the temperature derating.
+// exactmath.AlphaPow evaluates the power with math.Pow's exact bits.
+func (p *Process) delayLaw() exactmath.AlphaLaw {
+	return exactmath.AlphaLaw{
+		Over0:   p.VddV - p.Vth0V + p.DIBLOverdriveV,
+		MinOver: 0.05,
+		Alpha:   p.Alpha,
+		Scale:   p.tempDelayFactor(),
 	}
-	return math.Pow(x, a)
 }
 
 // Speedup returns the fractional speed-up at body bias vbs relative to NBB:

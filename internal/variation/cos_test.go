@@ -4,12 +4,14 @@ import (
 	"math"
 	"math/rand"
 	"testing"
+
+	"repro/internal/exactmath"
 )
 
-// cosExact is the scalar form of cosExactInto.
+// cosExact is exactmath.CosInto, the sampler's cosine, on one argument.
 func cosExact(x float64) float64 {
 	v := [1]float64{x}
-	cosExactInto(v[:], v[:])
+	exactmath.CosInto(v[:], v[:])
 	return v[0]
 }
 
@@ -53,10 +55,10 @@ func TestCosExactMatchesMath(t *testing.T) {
 	}
 	// The slice form, out of place over the whole list.
 	got := make([]float64, len(xs))
-	cosExactInto(got, xs)
+	exactmath.CosInto(got, xs)
 	for i, x := range xs {
 		if math.Float64bits(got[i]) != math.Float64bits(math.Cos(x)) {
-			t.Fatalf("cosExactInto at %v: %v, math.Cos %v", x, got[i], math.Cos(x))
+			t.Fatalf("CosInto at %v: %v, math.Cos %v", x, got[i], math.Cos(x))
 		}
 	}
 

@@ -14,10 +14,20 @@ import (
 	"repro/internal/tech"
 )
 
+// analyze times pl at the given per-gate delay scales (nil: nominal) with
+// a fresh Analyzer, rebuilding the timing graph.
+func analyze(pl *place.Placement, scale []float64) (*sta.Timing, error) {
+	an, err := sta.NewAnalyzer(pl, sta.Options{})
+	if err != nil {
+		return nil, err
+	}
+	return an.Run(scale, nil)
+}
+
 // timing runs a full STA at the die's corner, rebuilding the timing graph:
 // the reference that Retimer.Time and the batched re-times must reproduce.
 func (d *Die) timing(pl *place.Placement) (*sta.Timing, error) {
-	return sta.Analyze(pl, sta.Options{DelayScale: d.DelayScale})
+	return analyze(pl, d.DelayScale)
 }
 
 // timingWithBias runs a full STA with both the die's variation and a
@@ -33,7 +43,7 @@ func (d *Die) timingWithBias(pl *place.Placement, proc *tech.Process, assign []i
 		vbs := grid.Voltage(assign[pl.RowOf[g]])
 		scale[g] = proc.DelayFactorBias(vbs, d.DVthV[g])
 	}
-	return sta.Analyze(pl, sta.Options{DelayScale: scale})
+	return analyze(pl, scale)
 }
 
 // leakageNW returns the die's total leakage under an assignment (nil for no

@@ -3,14 +3,13 @@ package variation
 import (
 	"testing"
 
-	"repro/internal/sta"
 	"repro/internal/tech"
 )
 
 func TestRecoverLeakageOnFastDie(t *testing.T) {
 	pl := placed(t, "c1355")
 	proc := tech.Default45nm()
-	nom, err := sta.Analyze(pl, sta.Options{})
+	nom, err := analyze(pl, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -48,7 +47,7 @@ func TestRecoverLeakageOnFastDie(t *testing.T) {
 func TestRecoverLeakageSlowDieUntouched(t *testing.T) {
 	pl := placed(t, "c1355")
 	proc := tech.Default45nm()
-	nom, err := sta.Analyze(pl, sta.Options{})
+	nom, err := analyze(pl, nil)
 	if err != nil {
 		t.Fatal(err)
 	}

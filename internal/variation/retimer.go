@@ -24,6 +24,8 @@ type Retimer struct {
 	an    *sta.Analyzer
 	buf   *sta.Timing
 	scale []float64
+	// shift holds VthShift of each bias grid level for biasScale.
+	shift []float64
 }
 
 // NewRetimer wraps a (possibly shared) Analyzer with private scratch
@@ -52,6 +54,7 @@ func (rt *Retimer) TimeLight(die *Die) (*sta.Timing, error) {
 }
 
 // TimeWithBias re-times the die with a row-level body-bias assignment
+// (one grid level in [0, NumLevels) per row, as LeakModel.LeakageNW takes)
 // applied on top of its variation.
 func (rt *Retimer) TimeWithBias(die *Die, proc *tech.Process, assign []int) (*sta.Timing, error) {
 	scale, err := rt.biasScale(die, proc, assign)
@@ -82,28 +85,39 @@ func (rt *Retimer) TimeUniformBiasLight(die *Die, proc *tech.Process, vbs float6
 }
 
 // biasScale fills the scale scratch with the die's variation combined with
-// a row-level bias assignment.
+// a row-level bias assignment. DelayFactorBias(vbs, dvth) is
+// DelayFactorDVth(VthShift(vbs)+dvth), so the shift is computed once per
+// grid level and the combined row goes through DelayFactorDVthInto.
 func (rt *Retimer) biasScale(die *Die, proc *tech.Process, assign []int) ([]float64, error) {
 	pl := rt.an.Placement()
 	if len(assign) != pl.NumRows {
 		return nil, errors.New("variation: assignment length mismatch")
 	}
 	grid := pl.Lib.Grid
+	if cap(rt.shift) < grid.NumLevels() {
+		rt.shift = make([]float64, grid.NumLevels())
+	}
+	shift := rt.shift[:grid.NumLevels()]
+	for j := range shift {
+		shift[j] = proc.VthShift(grid.Voltage(j))
+	}
 	scale := rt.scaleBuf(len(die.DelayScale))
 	for g := range scale {
-		vbs := grid.Voltage(assign[pl.RowOf[g]])
-		scale[g] = proc.DelayFactorBias(vbs, die.DVthV[g])
+		scale[g] = shift[assign[pl.RowOf[g]]] + die.DVthV[g]
 	}
+	proc.DelayFactorDVthInto(scale, scale)
 	return scale, nil
 }
 
 // uniformScale fills the scale scratch with the die's variation combined
 // with one bias voltage on every gate.
 func (rt *Retimer) uniformScale(die *Die, proc *tech.Process, vbs float64) []float64 {
+	shift := proc.VthShift(vbs)
 	scale := rt.scaleBuf(len(die.DVthV))
 	for g := range scale {
-		scale[g] = proc.DelayFactorBias(vbs, die.DVthV[g])
+		scale[g] = shift + die.DVthV[g]
 	}
+	proc.DelayFactorDVthInto(scale, scale)
 	return scale
 }
 

@@ -4,6 +4,7 @@ import (
 	"math"
 	"math/rand"
 
+	"repro/internal/exactmath"
 	"repro/internal/place"
 	"repro/internal/tech"
 )
@@ -17,10 +18,11 @@ import (
 // restructured wave-major — each cosine wave sweeps all gates in
 // branch-free passes — which keeps the wave constants in registers and
 // performs the same additions in the same order per gate as a gate-major
-// accumulation. Its per-gate cosine (cosExactInto) and alpha-power delay
-// factor (tech.Process.DelayFactorDVth) return exactly the bits of
-// math.Cos and math.Pow without their branches and special-case
-// scaffolding, so the sampled population is the standard library's.
+// accumulation. Its cosine (exactmath.CosInto) and alpha-power delay
+// factor (tech.Process.DelayFactorDVthInto) run over whole rows and return
+// exactly the bits of math.Cos and math.Pow without their branches and
+// special-case scaffolding, through 4-lane vector kernels where the CPU has
+// them, so the sampled population is the standard library's.
 //
 // A Sampler's geometry is immutable but its generator is not: one Sampler
 // must not be used from more than one goroutine at a time. Concurrent
@@ -108,18 +110,18 @@ func (s *Sampler) sampleRow(dv, dscale []float64, seed int64) {
 			for g, x := range s.xs {
 				dscale[g] = kx*x + ky*s.ys[g] + phase
 			}
-			cosExactInto(dscale, dscale)
+			exactmath.CosInto(dscale, dscale)
 			for g, c := range dscale {
 				dv[g] += amp * c
 			}
 		}
 	}
 
+	// Draw the random shifts in one pass, then convert the whole row.
 	for g := range dv {
-		dvth := d2d + dv[g] + s.rng.NormFloat64()*s.m.SigmaRndmV/1000
-		dv[g] = dvth
-		dscale[g] = s.proc.DelayFactorDVth(dvth)
+		dv[g] = d2d + dv[g] + s.rng.NormFloat64()*s.m.SigmaRndmV/1000
 	}
+	s.proc.DelayFactorDVthInto(dscale, dv)
 }
 
 // AgedInto ages d into out's reused buffers (nil allocates a fresh Die; out
@@ -141,8 +143,8 @@ func (s *Sampler) AgedInto(out, d *Die, years, activity float64) *Die {
 	out.grow(len(d.DVthV))
 	for g := range d.DVthV {
 		out.DVthV[g] = d.DVthV[g] + drift*(1+0.2*s.rng.NormFloat64())
-		out.DelayScale[g] = s.proc.DelayFactorDVth(out.DVthV[g])
 	}
+	s.proc.DelayFactorDVthInto(out.DelayScale, out.DVthV)
 	return out
 }
 

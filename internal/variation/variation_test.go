@@ -8,7 +8,6 @@ import (
 	"repro/internal/cell"
 	"repro/internal/gen"
 	"repro/internal/place"
-	"repro/internal/sta"
 	"repro/internal/tech"
 )
 
@@ -124,7 +123,7 @@ func TestSpatialCorrelation(t *testing.T) {
 func TestDieTimingSlowerForPositiveShift(t *testing.T) {
 	pl := placed(t, "c1355")
 	proc := tech.Default45nm()
-	nom, err := sta.Analyze(pl, sta.Options{})
+	nom, err := analyze(pl, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -148,7 +147,7 @@ func TestDieTimingSlowerForPositiveShift(t *testing.T) {
 func TestSensors(t *testing.T) {
 	pl := placed(t, "c1355")
 	proc := tech.Default45nm()
-	nom, err := sta.Analyze(pl, sta.Options{})
+	nom, err := analyze(pl, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -177,7 +176,7 @@ func TestSensors(t *testing.T) {
 func TestTuneSlowDie(t *testing.T) {
 	pl := placed(t, "c1355")
 	proc := tech.Default45nm()
-	nom, err := sta.Analyze(pl, sta.Options{})
+	nom, err := analyze(pl, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -216,7 +215,7 @@ func TestTuneSlowDie(t *testing.T) {
 func TestTuneFastDieDoesNothing(t *testing.T) {
 	pl := placed(t, "c1355")
 	proc := tech.Default45nm()
-	nom, err := sta.Analyze(pl, sta.Options{})
+	nom, err := analyze(pl, nil)
 	if err != nil {
 		t.Fatal(err)
 	}

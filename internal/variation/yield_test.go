@@ -44,7 +44,7 @@ func TestYieldStudyParallelMatchesSequential(t *testing.T) {
 func TestTuneOnMatchesTune(t *testing.T) {
 	pl := placed(t, "c1355")
 	proc := tech.Default45nm()
-	nom, err := sta.Analyze(pl, sta.Options{})
+	nom, err := analyze(pl, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -96,7 +96,7 @@ func TestTuneOnMatchesTune(t *testing.T) {
 func TestRecoverLeakageOnMatches(t *testing.T) {
 	pl := placed(t, "c1355")
 	proc := tech.Default45nm()
-	nom, err := sta.Analyze(pl, sta.Options{})
+	nom, err := analyze(pl, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -131,7 +131,7 @@ func TestRecoverLeakageOnMatches(t *testing.T) {
 func TestTuneResultConsistency(t *testing.T) {
 	pl := placed(t, "c1355")
 	proc := tech.Default45nm()
-	nom, err := sta.Analyze(pl, sta.Options{})
+	nom, err := analyze(pl, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
