@@ -174,6 +174,22 @@ func FuzzCosInto(f *testing.F) {
 	f.Fuzz(func(t *testing.T, data []byte) { requireCosRow(t, decodeRow(data)) })
 }
 
+// FuzzAlphaLawInto: AlphaLaw.Into (tech.Process.DelayFactorDVthInto's
+// body) agrees with the law written out with math.Pow on any short row of
+// shifts and any overdrive, exponent and derating, whichever lanes hold
+// guard failures.
+func FuzzAlphaLawInto(f *testing.F) {
+	f.Add(defaultLaw.Over0, 1.3, 1.0, encodeRow())
+	f.Add(defaultLaw.Over0, 1.3, 1.0, encodeRow(0.01, -0.02, 0.03, 0.6, 0.65, math.NaN(), -0.1, 0.2, 0.05))
+	f.Add(0.81, 1.5, 1.14, encodeRow(0.01, -0.02, 0.03, math.Inf(-1), 0.65, 0.7, -0.1, 0.2))
+	f.Add(0x1p500, 1.2, 1.0, encodeRow(0x1p500, 0.1, 0.2, 0.3, 0.4))
+	f.Add(defaultLaw.Over0, 1.7, 1.0, encodeRow(0.01, -0.02, 0.03, 0.04))
+	f.Fuzz(func(t *testing.T, over0, alpha, scale float64, data []byte) {
+		l := AlphaLaw{Over0: over0, MinOver: defaultLaw.MinOver, Alpha: alpha, Scale: scale}
+		requireLawRow(t, l, decodeRow(data))
+	})
+}
+
 func benchRow(n int) (waves, dvth []float64) {
 	rng := rand.New(rand.NewSource(5))
 	waves, dvth = make([]float64, n), make([]float64, n)

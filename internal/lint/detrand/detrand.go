@@ -5,11 +5,11 @@
 // the deterministic kernels never read the wall clock and never draw from
 // an entropy-seeded or globally shared random stream. (It is not one set
 // of bytes on every machine: on amd64, math.Exp has an FMA path and an
-// SSE2 path, chosen by the CPU and GODEBUG, that round about 7.8% of the
-// sampler's exponents differently.) Seeds must
-// be derived per die via variation.DieSeed / splitmix64 (or threaded in
-// from a caller who did), and every generator must be a private
-// rand.New(rand.NewSource(seed)).
+// SSE2 path, chosen by the CPU and GODEBUG, that round about 7.7% of the
+// sampler's exponents differently; exactmath's TestExpReplicasDiffer
+// counts them.) Seeds must be derived per die via variation.DieSeed /
+// splitmix64 (or threaded in from a caller who did), and every generator
+// must be a private rand.New(rand.NewSource(seed)).
 //
 // In the packages listed in Packages, non-test code may not:
 //

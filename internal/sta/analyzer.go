@@ -25,7 +25,7 @@ import (
 // Timing scratch buffer per worker.
 type Analyzer struct {
 	pl   *place.Placement
-	opts Options // defaults applied; DelayScale is per-Run, never stored
+	opts Options // defaults applied
 
 	topo       []netlist.GateID
 	nomDelayPS []float64 // loaded delay of every gate at scale 1.0
@@ -47,11 +47,9 @@ type Analyzer struct {
 }
 
 // NewAnalyzer precomputes the scale-independent part of STA for a placed
-// design. opts.DelayScale is ignored: the scale vector is an argument of
-// each Run call.
+// design. The per-gate delay scale is an argument of each Run call.
 func NewAnalyzer(pl *place.Placement, opts Options) (*Analyzer, error) {
 	opts.setDefaults()
-	opts.DelayScale = nil
 	d := pl.Design
 	n := len(d.Gates)
 	if n == 0 {
@@ -149,7 +147,6 @@ func (a *Analyzer) Run(scale []float64, buf *Timing) (*Timing, error) {
 	}
 	tm.Pl = a.pl
 	tm.Opts = a.opts
-	tm.Opts.DelayScale = scale
 	tm.Light = false
 	tm.GateDelayPS = growFloat(tm.GateDelayPS, n)
 	tm.ArrPS = growFloat(tm.ArrPS, n)
@@ -227,7 +224,6 @@ func (a *Analyzer) RunLight(scale []float64, buf *Timing) (*Timing, error) {
 	}
 	tm.Pl = a.pl
 	tm.Opts = a.opts
-	tm.Opts.DelayScale = scale
 	tm.Light = true
 	tm.Paths = tm.Paths[:0]
 	tm.GateDelayPS = growFloat(tm.GateDelayPS, n)

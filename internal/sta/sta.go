@@ -18,9 +18,6 @@ type Options struct {
 	WireCapPerUMfF float64
 	// POLoadFF is the capacitive load on primary outputs (default 2 fF).
 	POLoadFF float64
-	// DelayScale optionally scales each gate's delay (per-gate process
-	// variation); length must equal the gate count when non-nil.
-	DelayScale []float64
 }
 
 func (o *Options) setDefaults() {

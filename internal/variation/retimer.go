@@ -2,6 +2,7 @@ package variation
 
 import (
 	"errors"
+	"fmt"
 
 	"repro/internal/place"
 	"repro/internal/sta"
@@ -98,6 +99,11 @@ func (rt *Retimer) biasScale(die *Die, proc *tech.Process, assign []int) ([]floa
 		rt.shift = make([]float64, grid.NumLevels())
 	}
 	shift := rt.shift[:grid.NumLevels()]
+	for r, j := range assign {
+		if j < 0 || j >= len(shift) {
+			return nil, fmt.Errorf("variation: row %d bias level %d outside [0, %d)", r, j, len(shift))
+		}
+	}
 	for j := range shift {
 		shift[j] = proc.VthShift(grid.Voltage(j))
 	}

@@ -8,6 +8,7 @@ import (
 	"repro/internal/cell"
 	"repro/internal/gen"
 	"repro/internal/place"
+	"repro/internal/sta"
 	"repro/internal/tech"
 )
 
@@ -322,5 +323,39 @@ func TestTimingWithBiasCompensates(t *testing.T) {
 	}
 	if die.leakageNW(pl, proc, full) <= die.leakageNW(pl, proc, nil) {
 		t.Error("full FBB did not cost leakage")
+	}
+}
+
+// TestTimeWithBiasRejectsBadLevel pins that a row bias level outside the
+// grid is an error of every bias re-time, not a panic: both paths index the
+// per-level Vth shift table with the assignment.
+func TestTimeWithBiasRejectsBadLevel(t *testing.T) {
+	pl := placed(t, "c1355")
+	proc := tech.Default45nm()
+	an, err := sta.NewAnalyzer(pl, sta.Options{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	rt := NewRetimer(an)
+	die := Default().Sample(pl, proc, 3)
+	n := pl.Lib.Grid.NumLevels()
+	for _, bad := range []int{-1, n, n + 7} {
+		for _, row := range []int{0, pl.NumRows - 1} {
+			assign := make([]int, pl.NumRows)
+			assign[row] = bad
+			if _, err := rt.TimeWithBias(die, proc, assign); err == nil {
+				t.Errorf("TimeWithBias accepted level %d on row %d", bad, row)
+			}
+			if _, err := rt.TimeWithBiasLight(die, proc, assign); err == nil {
+				t.Errorf("TimeWithBiasLight accepted level %d on row %d", bad, row)
+			}
+		}
+	}
+	top := make([]int, pl.NumRows)
+	for i := range top {
+		top[i] = n - 1
+	}
+	if _, err := rt.TimeWithBias(die, proc, top); err != nil {
+		t.Errorf("top grid level rejected: %v", err)
 	}
 }
